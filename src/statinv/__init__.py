@@ -41,6 +41,7 @@ from .filters import (
     regularize_normal_equations,
     regularize_svd,
     spectral_cutoff,
+    spectral_series,
     tikhonov,
     variance_bound,
     verify_filter_properties,
@@ -48,9 +49,11 @@ from .filters import (
 from .grid import Grid, L2Vector
 from .harness import (
     BiasVarianceReport,
+    Choice,
     ExperimentConfig,
     MseRow,
     VetoRow,
+    choose,
     parse_config,
     run_bias_variance_check,
     run_mse_study,

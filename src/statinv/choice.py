@@ -11,9 +11,9 @@ chosen index j* is the maximal accepted one; delta may be the true noise
 level or the estimate delta_hat, which is what makes the combined pipeline
 purely data driven.
 
-Candidates are Tikhonov solutions of the normal equations at level
-n(alpha_j, delta); the per-level solver diagonalizes B^T B once so that all
-alphas and replicates reuse the same factorization.
+Candidates are Tikhonov solutions at level n(alpha_j, delta), computed as
+the spectral series of the level operator from its cached SVD, so that all
+alphas and replicates reuse the factorization made when the level is built.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .discretization import (
     project_operator,
 )
 from .errors import WhiteNoiseError
-from .filters import Filter, regularize_svd
+from .filters import Filter, regularize_svd, spectral_series, tikhonov
 from .grid import L2Vector
 from .noise import Observation
 from .noise_level import EstimatorConfig, NoiseEstimate, refine_delta_hat
@@ -124,42 +124,17 @@ class LepskiiResult:
         return self.solutions[self.j_star]
 
 
-class _TikhonovLevelSolver:
-    """Normal-equation solves (alpha I + B^T B)^{-1} B^T y via a cached eigenbasis.
-
-    Diagonalizing B^T B once makes the solve O(n^2) for every alpha, which is
-    what keeps replicate-heavy studies with per-replicate alpha grids cheap.
-    """
-
-    def __init__(self, op: DiscreteOperator):
-        self.op = op
-        gram = op.matrix.T @ op.matrix
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(gram)
-
-    def solve(self, y: np.ndarray, alpha: float) -> np.ndarray:
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        z = self.eigenvectors.T @ (self.op.matrix.T @ y)
-        return self.eigenvectors @ (z / (self.eigenvalues + alpha))
-
-
 class LevelSolverCache:
-    """Per-level operators and Tikhonov solvers derived from one fine operator."""
+    """Per-level operators derived from one fine operator."""
 
     def __init__(self, op_fine: DiscreteOperator):
         self.op_fine = op_fine
         self._ops = {op_fine.n: op_fine}
-        self._solvers = {}
 
     def operator(self, n: int) -> DiscreteOperator:
         if n not in self._ops:
             self._ops[n] = project_operator(self.op_fine, n)
         return self._ops[n]
-
-    def solver(self, n: int) -> _TikhonovLevelSolver:
-        if n not in self._solvers:
-            self._solvers[n] = _TikhonovLevelSolver(self.operator(n))
-        return self._solvers[n]
 
 
 def oracle_choice(
@@ -249,6 +224,7 @@ def lepskii_choose(
     alphas = cfg.alphas
     m = cfg.m
     kappa = cfg.kappa
+    filt = tikhonov()
     flags = []
 
     levels = []
@@ -257,7 +233,7 @@ def lepskii_choose(
     for j, a in enumerate(alphas):
         level = nested_level(n_of(a, delta, sched), obs.n)
         obs_j = project(obs, level)
-        x_j = cache.solver(level).solve(obs_j.coeffs, a)
+        x_j = spectral_series(filt, cache.operator(level), obs_j.coeffs, a)
         solutions.append(embed_vector(L2Vector(obs_j.grid, x_j), op.grid))
         levels.append(level)
         psi[j] = cfg.C_psi * np.sqrt(level / (4.0 * a))

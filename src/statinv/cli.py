@@ -18,17 +18,17 @@ import sys
 
 import numpy as np
 
-from .choice import LevelSolverCache, data_driven_choose, discrepancy_principle, lepskii_choose, oracle_choice
+from .choice import LevelSolverCache
 from .discretization import LevelData
 from .errors import ConfigError, DataUnavailableError, WhiteNoiseError
-from .filters import regularize_svd, tikhonov
 from .harness import (
+    METHODS,
     ExperimentConfig,
-    _effective_schedule,
-    _lepskii_template,
     build_noise_spec,
     build_operator,
     build_signal,
+    choose,
+    effective_schedule,
     parse_config,
     run_mse_study,
     run_veto_study,
@@ -38,7 +38,7 @@ from .harness import (
 from .noise import observation_to_csv, observe
 from .noise_level import refine_delta_hat
 
-__all__ = ["main", "cli_main"]
+__all__ = ["main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,8 +64,8 @@ def _load_config(args) -> ExperimentConfig:
     if args.seed is not None:
         cfg.seed = args.seed
     if args.method is not None:
-        if args.method not in ("oracle", "discrepancy", "lepskii_known_delta", "lepskii_estimated_delta"):
-            raise ConfigError(f"unknown method {args.method!r}")
+        if args.method not in METHODS:
+            raise ConfigError(f"unknown method {args.method!r}; choose from {METHODS}")
         cfg.method = args.method
     if args.out is not None:
         cfg.out = args.out
@@ -93,7 +93,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
 
 def _cmd_estimate_noise(cfg: ExperimentConfig) -> int:
     op, _, obs = _single_observation(cfg)
-    sched = _effective_schedule(cfg, op)
+    sched = effective_schedule(cfg, op)
     est = cfg.estimator
     result = refine_delta_hat(
         op, LevelData(obs), tau=est.tau, p=est.p, eps=est.eps,
@@ -128,45 +128,21 @@ def _write_choice_row(path, delta, delta_hat, j_star, alpha_star, error, flags):
 
 def _cmd_choose(cfg: ExperimentConfig) -> int:
     op, x_true, obs = _single_observation(cfg)
-    sched = _effective_schedule(cfg, op)
-    filt = tikhonov()
-    delta = cfg.delta_list[0]
-    template = _lepskii_template(cfg, op, delta)
-    if cfg.method == "oracle":
-        alpha, err = oracle_choice(op, x_true, obs, filt, template.alphas)
-        print(f"method = oracle\nalpha  = {alpha:.17g}\nerror  = {err:.17g}")
-        delta_hat, j_star, alpha_star, flags = None, None, alpha, []
-    elif cfg.method == "discrepancy":
-        result = discrepancy_principle(op, obs, filt, cfg.tau_dp, template.alphas)
-        x = regularize_svd(filt, op, obs.coeffs, result.alpha).x_alpha
-        err = float(np.linalg.norm(x.coeffs - x_true.coeffs))
-        print(
-            f"method = discrepancy\nalpha  = {result.alpha:.17g}\n"
-            f"residual = {result.residual:.17g}\nsatisfied = {result.satisfied}\nerror  = {err:.17g}"
-        )
-        delta_hat, j_star, alpha_star = None, None, result.alpha
-        flags = [] if result.satisfied else ["discrepancy_unsatisfied"]
-    elif cfg.method == "lepskii_known_delta":
-        lep = lepskii_choose(op, obs, template, sched, cache=LevelSolverCache(op))
-        err = float(np.linalg.norm(lep.x_star.coeffs - x_true.coeffs))
-        print(
-            f"method = lepskii_known_delta\nj_star = {lep.j_star} (m = {lep.m})\n"
-            f"alpha  = {lep.alpha_star:.17g}\nerror  = {err:.17g}\nflags  = {lep.flags}"
-        )
-        delta_hat, j_star, alpha_star, flags = None, lep.j_star, lep.alpha_star, lep.flags
-    else:
-        estimate, lep, x_final = data_driven_choose(
-            op, LevelData(obs), cfg.estimator, template, sched, cache=LevelSolverCache(op)
-        )
-        err = float(np.linalg.norm(x_final.coeffs - x_true.coeffs))
-        print(
-            f"method = lepskii_estimated_delta\ndelta_hat = {estimate.delta_hat:.17g}"
-            f" (true {obs.delta:.17g})\nj_star = {lep.j_star} (m = {lep.m})\n"
-            f"alpha  = {lep.alpha_star:.17g}\nerror  = {err:.17g}\nflags  = {lep.flags}"
-        )
-        delta_hat, j_star, alpha_star, flags = estimate.delta_hat, lep.j_star, lep.alpha_star, lep.flags
+    chosen = choose(cfg, op, x_true, obs, effective_schedule(cfg, op), LevelSolverCache(op))
+    err = float(np.linalg.norm(chosen.x.coeffs - x_true.coeffs))
+    print(f"method = {cfg.method}")
+    if chosen.delta_hat is not None:
+        print(f"delta_hat = {chosen.delta_hat:.17g} (true {obs.delta:.17g})")
+    if chosen.j_star is not None:
+        print(f"j_star = {chosen.j_star} (m = {chosen.m})")
+    print(f"alpha  = {chosen.alpha:.17g}")
+    if chosen.residual is not None:
+        print(f"residual = {chosen.residual:.17g}\nsatisfied = {chosen.satisfied}")
+    print(f"error  = {err:.17g}\nflags  = {chosen.flags}")
     if cfg.out is not None:
-        _write_choice_row(cfg.out, delta, delta_hat, j_star, alpha_star, err, flags)
+        _write_choice_row(
+            cfg.out, obs.delta, chosen.delta_hat, chosen.j_star, chosen.alpha, err, chosen.flags
+        )
         print(f"wrote {cfg.out}")
     return 0
 
@@ -213,11 +189,6 @@ def main(argv=None) -> int:
     except (WhiteNoiseError, DataUnavailableError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-
-
-def cli_main(argv=None) -> int:
-    """Alias kept for callers that expect an explicit argv entry point."""
-    return main(argv)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .grid import L2Vector
 from .noise import NoiseSpec, draw_noise
@@ -35,6 +34,7 @@ __all__ = [
     "filter_value",
     "bias_value",
     "RegularizedSolution",
+    "spectral_series",
     "regularize_svd",
     "regularize_normal_equations",
     "convergence_to_pseudoinverse",
@@ -115,17 +115,23 @@ class RegularizedSolution:
     solver: str
 
 
+def spectral_series(filt: Filter, op: DiscreteOperator, y: np.ndarray, alpha: float) -> np.ndarray:
+    """Coefficients of x_alpha = sum_{s_j>0} F_alpha(s_j^2) s_j <y, u_j> v_j.
+
+    The series runs over the numerical rank only; it is the solution map
+    shared by ``regularize_svd`` and the balancing-principle candidates.
+    """
+    r = op.rank
+    s = op.s[:r]
+    return op.vt[:r].T @ (filter_value(filt, alpha, s**2) * s * (op.u[:, :r].T @ y))
+
+
 def regularize_svd(
     filt: Filter, op: DiscreteOperator, y: np.ndarray, alpha: float
 ) -> RegularizedSolution:
-    """Spectral route: x_alpha = sum_{s_j>0} F_alpha(s_j^2) s_j <y, u_j> v_j."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    """Spectral route: ``spectral_series`` together with the data residual."""
     y = np.asarray(y, dtype=float)
-    r = op.rank
-    s = op.s[:r]
-    uy = op.u[:, :r].T @ y
-    coeffs = op.vt[:r].T @ (filter_value(filt, alpha, s**2) * s * uy)
+    coeffs = spectral_series(filt, op, y, alpha)
     x = L2Vector(op.grid, coeffs)
     residual = float(np.linalg.norm(op.matrix @ coeffs - y))
     return RegularizedSolution(alpha=float(alpha), x_alpha=x, residual_norm=residual, solver="svd_series")
@@ -140,6 +146,8 @@ def regularize_normal_equations(
     the system is positive definite for every alpha > 0, so the Cholesky
     factorization cannot break down.
     """
+    import scipy.linalg  # only this cross-check needs scipy; keep it off the import path
+
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     y = np.asarray(y, dtype=float)

@@ -10,6 +10,7 @@ pipelines see identical noise realizations replicate by replicate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -37,6 +38,10 @@ __all__ = [
     "MseRow",
     "VetoRow",
     "BiasVarianceReport",
+    "METHODS",
+    "Choice",
+    "choose",
+    "effective_schedule",
     "parse_config",
     "config_from_mapping",
     "build_operator",
@@ -147,6 +152,9 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
             value = parse(raw) if isinstance(raw, str) else raw
         except ValueError as exc:
             raise ConfigError(f"cannot parse {key} = {raw!r}: {exc}") from exc
+        numbers = value if isinstance(value, tuple) else (value,)
+        if not all(math.isfinite(v) for v in numbers if isinstance(v, float)):
+            raise ConfigError(f"{key} must be finite, got {raw!r}")
         if attr.startswith("schedule."):
             sched[attr.split(".", 1)[1]] = value
         elif attr.startswith("estimator."):
@@ -231,7 +239,7 @@ class VetoRow:
     errors_estimated: np.ndarray
 
 
-def _effective_schedule(cfg: ExperimentConfig, op: DiscreteOperator) -> LevelSchedule:
+def effective_schedule(cfg: ExperimentConfig, op: DiscreteOperator) -> LevelSchedule:
     # levels can never exceed the data's fine grid
     return cfg.schedule.with_n_max(min(cfg.schedule.n_max, op.n))
 
@@ -269,38 +277,74 @@ def run_mse_study(cfg: ExperimentConfig) -> list:
     """
     op = build_operator(cfg)
     x_true = build_signal(cfg, op)
-    sched = _effective_schedule(cfg, op)
+    sched = effective_schedule(cfg, op)
     spec = build_noise_spec(cfg, op.grid)
-    filt = tikhonov()
     cache = LevelSolverCache(op)
     rows = []
     for di, delta in enumerate(cfg.delta_list):
         err_vectors = []
         for rep in range(cfg.replicates):
             obs = observe(op, x_true, delta, spec, replicate=(di, rep))
-            x_hat = _choose(cfg, op, x_true, obs, filt, sched, cache, delta)
+            x_hat = choose(cfg, op, x_true, obs, sched, cache).x
             err_vectors.append(x_true.coeffs - x_hat.coeffs)
         rows.append(_summarize(delta, cfg.method, err_vectors, cfg.epsilons, x_true.norm()))
     return rows
 
 
-def _choose(cfg, op, x_true, obs, filt, sched, cache, delta) -> L2Vector:
+@dataclass
+class Choice:
+    """One method's parameter choice on one observation.
+
+    ``j_star`` and ``m`` are set by the Lepskii methods, ``delta_hat`` by
+    the estimated-delta method, ``residual`` and ``satisfied`` by the
+    discrepancy principle.
+    """
+
+    alpha: float
+    x: L2Vector
+    flags: list = field(default_factory=list)
+    j_star: Optional[int] = None
+    m: Optional[int] = None
+    delta_hat: Optional[float] = None
+    residual: Optional[float] = None
+    satisfied: Optional[bool] = None
+
+
+def choose(cfg, op, x_true, obs, sched, cache) -> Choice:
+    """Run ``cfg.method`` on ``obs``; the one dispatch over ``METHODS``.
+
+    ``x_true`` is read by the oracle only.
+    """
+    template = _lepskii_template(cfg, op, obs.delta)
+    filt = tikhonov()
     if cfg.method == "oracle":
-        alphas = _lepskii_template(cfg, op, delta).alphas
-        alpha, _ = oracle_choice(op, x_true, obs, filt, alphas)
-        return regularize_svd(filt, op, obs.coeffs, alpha).x_alpha
+        alpha, _ = oracle_choice(op, x_true, obs, filt, template.alphas)
+        return Choice(alpha=alpha, x=regularize_svd(filt, op, obs.coeffs, alpha).x_alpha)
     if cfg.method == "discrepancy":
-        alphas = _lepskii_template(cfg, op, delta).alphas
-        result = discrepancy_principle(op, obs, filt, cfg.tau_dp, alphas)
-        return regularize_svd(filt, op, obs.coeffs, result.alpha).x_alpha
+        dp = discrepancy_principle(op, obs, filt, cfg.tau_dp, template.alphas)
+        return Choice(
+            alpha=dp.alpha,
+            x=regularize_svd(filt, op, obs.coeffs, dp.alpha).x_alpha,
+            flags=[] if dp.satisfied else ["discrepancy_unsatisfied"],
+            residual=dp.residual,
+            satisfied=dp.satisfied,
+        )
+    delta_hat = None
     if cfg.method == "lepskii_known_delta":
-        lep = lepskii_choose(op, obs, _lepskii_template(cfg, op, delta), sched, cache=cache)
-        return lep.x_star
-    # lepskii_estimated_delta
-    _, _, x_final = data_driven_choose(
-        op, LevelData(obs), cfg.estimator, _lepskii_template(cfg, op, delta), sched, cache=cache
+        lep = lepskii_choose(op, obs, template, sched, cache=cache)
+    else:  # lepskii_estimated_delta
+        estimate, lep, _ = data_driven_choose(
+            op, LevelData(obs), cfg.estimator, template, sched, cache=cache
+        )
+        delta_hat = estimate.delta_hat
+    return Choice(
+        alpha=lep.alpha_star,
+        x=lep.x_star,
+        flags=lep.flags,
+        j_star=lep.j_star,
+        m=lep.m,
+        delta_hat=delta_hat,
     )
-    return x_final
 
 
 @dataclass
@@ -381,7 +425,7 @@ def run_veto_study(cfg: ExperimentConfig) -> list:
     """
     op = build_operator(cfg)
     x_true = build_signal(cfg, op)
-    sched = _effective_schedule(cfg, op)
+    sched = effective_schedule(cfg, op)
     spec = build_noise_spec(cfg, op.grid)
     cache = LevelSolverCache(op)
     est = cfg.estimator

@@ -186,17 +186,6 @@ def generalized_inverse_apply(op: DiscreteOperator, y: L2Vector, trunc: int) -> 
     return L2Vector(op.grid, op.vt[:trunc].T @ (uy / op.s[:trunc]))
 
 
-def _embedding_matrix(n_coarse: int, n_fine: int) -> np.ndarray:
-    """Isometric inclusion of the coarse indicator span into the fine one."""
-    if n_fine % n_coarse != 0:
-        raise ValueError(f"grids not nested: {n_coarse} does not divide {n_fine}")
-    block = n_fine // n_coarse
-    e = np.zeros((n_fine, n_coarse))
-    for i in range(n_coarse):
-        e[i * block : (i + 1) * block, i] = np.sqrt(n_coarse / n_fine)
-    return e
-
-
 def discretization_defect(op: DiscreteOperator, full_op: DiscreteOperator) -> float:
     """Spectral norm of (I - Q) T estimated against a finer reference grid.
 
@@ -206,8 +195,9 @@ def discretization_defect(op: DiscreteOperator, full_op: DiscreteOperator) -> fl
     n_c, n_f = op.n, full_op.n
     if n_f % n_c != 0:
         raise ValueError(f"grids not nested: {n_c} does not divide {n_f}")
-    e = _embedding_matrix(n_c, n_f)
-    residual = full_op.matrix - e @ (e.T @ full_op.matrix)
+    # Q replaces each fine row by the mean of its coarse cell's row block
+    blocks = full_op.matrix.reshape(n_c, n_f // n_c, n_f)
+    residual = (blocks - blocks.mean(axis=1, keepdims=True)).reshape(n_f, n_f)
     return float(np.linalg.svd(residual, compute_uv=False)[0])
 
 

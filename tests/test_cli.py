@@ -1,6 +1,17 @@
 import pytest
 
+from statinv.choice import LevelSolverCache
 from statinv.cli import main
+from statinv.harness import (
+    METHODS,
+    build_noise_spec,
+    build_operator,
+    build_signal,
+    choose,
+    effective_schedule,
+    parse_config,
+)
+from statinv.noise import observe
 
 BASE_CFG = """
 operator.kind = integration
@@ -76,15 +87,55 @@ def test_choose_lepskii_known(tmp_path, capsys):
     assert "j_star" in capsys.readouterr().out
 
 
-def test_choose_writes_csv_row(tmp_path, capsys):
-    cfg = _cfg_file(tmp_path, method="lepskii_estimated_delta")
+def _noise_for(method):
+    # the discrepancy principle refuses white noise
+    return "dirac" if method == "discrepancy" else "gaussian_white"
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_choose_writes_csv_row(tmp_path, capsys, method):
+    cfg = _cfg_file(tmp_path, noise=_noise_for(method), method=method)
     out = tmp_path / "choice.csv"
     assert main(["choose", "--config", cfg, "--out", str(out)]) == 0
-    capsys.readouterr()
+    assert f"method = {method}" in capsys.readouterr().out
     lines = out.read_text().splitlines()
     assert lines[0] == "delta,delta_hat,j_star,alpha_star,error,flags"
     assert len(lines) == 2
-    assert lines[1].split(",")[0] == "0.10000000000000001"  # 0.1 at 17 digits
+    delta, delta_hat, j_star, alpha_star, error, _ = lines[1].split(",")
+    assert delta == "0.10000000000000001"  # 0.1 at 17 digits
+    assert (delta_hat != "") == (method == "lepskii_estimated_delta")
+    assert (j_star != "") == method.startswith("lepskii")
+    assert float(alpha_star) > 0 and float(error) >= 0
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_harness_and_cli_choose_same_alpha(tmp_path, capsys, method):
+    path = _cfg_file(tmp_path, noise=_noise_for(method), method=method)
+    out = tmp_path / "choice.csv"
+    assert main(["choose", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    cli_alpha = float(out.read_text().splitlines()[1].split(",")[3])
+    cfg = parse_config(path)
+    op = build_operator(cfg)
+    x_true = build_signal(cfg, op)
+    # the first replicate of the first delta, as in run_mse_study
+    obs = observe(op, x_true, cfg.delta_list[0], build_noise_spec(cfg, op.grid), replicate=(0, 0))
+    chosen = choose(cfg, op, x_true, obs, effective_schedule(cfg, op), LevelSolverCache(op))
+    assert chosen.alpha == cli_alpha
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        "delta_list = nan\n",
+        "method = lepskii_estimated_delta\nestimator.tau = nan\n",
+        "lepskii.q = inf\n",
+    ],
+)
+def test_non_finite_config_exits_2(tmp_path, capsys, extra):
+    cfg = _cfg_file(tmp_path, extra=extra)
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "rows.csv")]) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_estimate_noise(tmp_path, capsys):
