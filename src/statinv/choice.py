@@ -32,8 +32,8 @@ from .discretization import (
     project,
     project_operator,
 )
-from .errors import WhiteNoiseError
-from .filters import Filter, regularize_svd, spectral_series, tikhonov
+from .errors import WhiteNoiseError, require_finite
+from .filters import Filter, filter_value, regularize_svd, spectral_series, tikhonov
 from .grid import L2Vector
 from .noise import Observation
 from .noise_level import EstimatorConfig, NoiseEstimate, refine_delta_hat
@@ -67,6 +67,7 @@ class LepskiiConfig:
     delta_input: float
 
     def __post_init__(self):
+        require_finite(self)
         if self.q <= 1.0:
             raise ValueError("q must be > 1")
         if self.C_psi <= 0:
@@ -143,21 +144,29 @@ def oracle_choice(
     obs: Observation,
     filt: Filter,
     alpha_grid: Sequence[float],
-) -> Tuple[float, float]:
-    """Reference minimizer of the true error over the grid (benchmark only).
+) -> Tuple[float, float, L2Vector]:
+    """Grid alpha minimizing the true error ||x_alpha - x_true|| (benchmark only).
 
-    Ties break toward the smallest alpha.
+    The whole grid is scored in the right singular basis from one U^T y: the
+    solution at alpha is V_r w_alpha with w_alpha = F_alpha(s^2) s U^T y, so
+    ||x_alpha - x_true|| and ||w_alpha - V_r^T x_true|| differ only by the
+    part of x_true outside range(V_r), which is the same for every alpha.
+    The winner is then solved once by ``regularize_svd``.  Returns
+    ``(alpha, error, x_alpha)`` of that solve; ties break toward the
+    smallest alpha.
     """
     alphas = np.sort(np.asarray(alpha_grid, dtype=float))
     if alphas.size == 0:
         raise ValueError("alpha grid is empty")
-    best = None
-    for a in alphas:
-        x = regularize_svd(filt, op, obs.coeffs, a).x_alpha
-        err = float(np.linalg.norm(x.coeffs - x_true.coeffs))
-        if best is None or err < best[1]:
-            best = (float(a), err)
-    return best
+    r = op.rank
+    s = op.s[:r]
+    uty = op.u[:, :r].T @ obs.coeffs
+    # same product order as spectral_series, one row per alpha
+    weights = np.stack([filter_value(filt, a, s**2) for a in alphas]) * s * uty
+    scores = np.linalg.norm(weights - op.vt[:r] @ x_true.coeffs, axis=1)
+    best = float(alphas[np.argmin(scores)])  # argmin takes the first, smallest alpha
+    x = regularize_svd(filt, op, obs.coeffs, best).x_alpha
+    return best, float(np.linalg.norm(x.coeffs - x_true.coeffs)), x
 
 
 @dataclass(frozen=True)
@@ -165,6 +174,7 @@ class DiscrepancyResult:
     alpha: float
     satisfied: bool
     residual: float
+    x_alpha: L2Vector
 
 
 def discrepancy_principle(
@@ -176,9 +186,11 @@ def discrepancy_principle(
 ) -> DiscrepancyResult:
     """Largest grid alpha whose residual stays within tau_dp * delta.
 
-    Requires noise that is bounded in norm (dirac or scaled_rv); white-noise
-    observations are rejected because their residual norm diverges with the
-    discretization level and the rule loses its meaning.
+    Falls back to the smallest grid alpha, with ``satisfied`` false, when no
+    alpha qualifies.  Requires noise that is bounded in norm (dirac or
+    scaled_rv); white-noise observations are rejected because their residual
+    norm diverges with the discretization level and the rule loses its
+    meaning.
     """
     if tau_dp <= 1.0:
         raise ValueError("tau_dp must be > 1")
@@ -194,9 +206,14 @@ def discrepancy_principle(
     for a in alphas[::-1]:
         sol = regularize_svd(filt, op, obs.coeffs, a)
         if sol.residual_norm <= threshold:
-            return DiscrepancyResult(alpha=float(a), satisfied=True, residual=sol.residual_norm)
-    sol = regularize_svd(filt, op, obs.coeffs, float(alphas[0]))
-    return DiscrepancyResult(alpha=float(alphas[0]), satisfied=False, residual=sol.residual_norm)
+            break
+    # without a break, sol is the solve at the smallest alpha: the fallback
+    return DiscrepancyResult(
+        alpha=sol.alpha,
+        satisfied=sol.residual_norm <= threshold,
+        residual=sol.residual_norm,
+        x_alpha=sol.x_alpha,
+    )
 
 
 def lepskii_choose(

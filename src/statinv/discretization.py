@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataUnavailableError
+from .errors import DataUnavailableError, require_finite
 from .grid import Grid, L2Vector
 from .noise import Observation
 from .operators import DiscreteOperator
@@ -54,6 +54,7 @@ class LevelSchedule:
     n_max: int = 2**14
 
     def __post_init__(self):
+        require_finite(self)
         if self.r <= 0:
             raise ValueError("r must be positive")
         if self.eta is None:

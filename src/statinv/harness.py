@@ -318,13 +318,13 @@ def choose(cfg, op, x_true, obs, sched, cache) -> Choice:
     template = _lepskii_template(cfg, op, obs.delta)
     filt = tikhonov()
     if cfg.method == "oracle":
-        alpha, _ = oracle_choice(op, x_true, obs, filt, template.alphas)
-        return Choice(alpha=alpha, x=regularize_svd(filt, op, obs.coeffs, alpha).x_alpha)
+        alpha, _, x = oracle_choice(op, x_true, obs, filt, template.alphas)
+        return Choice(alpha=alpha, x=x)
     if cfg.method == "discrepancy":
         dp = discrepancy_principle(op, obs, filt, cfg.tau_dp, template.alphas)
         return Choice(
             alpha=dp.alpha,
-            x=regularize_svd(filt, op, obs.coeffs, dp.alpha).x_alpha,
+            x=dp.x_alpha,
             flags=[] if dp.satisfied else ["discrepancy_unsatisfied"],
             residual=dp.residual,
             satisfied=dp.satisfied,

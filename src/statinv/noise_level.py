@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .discretization import LevelSchedule, project
-from .errors import DataUnavailableError
+from .errors import DataUnavailableError, require_finite
 from .grid import L2Vector
 from .noise import NoiseSpec, Observation, observe, pointwise_values
 from .operators import DiscreteOperator
@@ -103,6 +103,7 @@ class EstimatorConfig:
     n0: int = 16
 
     def __post_init__(self):
+        require_finite(self)
         if self.tau <= 1.0:
             raise ValueError("tau must be > 1")
         if self.K <= 1.0:

@@ -3,6 +3,7 @@ import pytest
 
 from statinv import (
     EstimatorConfig,
+    Grid,
     L2Vector,
     LepskiiConfig,
     LevelData,
@@ -11,6 +12,7 @@ from statinv import (
     NoiseSpec,
     SourceCondition,
     WhiteNoiseError,
+    build_holder_kernel_operator,
     data_driven_choose,
     discrepancy_principle,
     lepskii_choose,
@@ -18,6 +20,8 @@ from statinv import (
     oracle_choice,
     refine_delta_hat,
     regularize_normal_equations,
+    regularize_svd,
+    spectral_cutoff,
     tikhonov,
 )
 from statinv.signals import dirac_direction, make_signal
@@ -68,7 +72,7 @@ def test_oracle_noiseless_prefers_smallest_alpha(op256):
     x = make_signal("smooth", op256.grid)
     obs = _noiseless_obs(op256, x, 1e-6)
     grid = np.logspace(-8, -1, 10)
-    alpha, err = oracle_choice(op256, x, obs, tikhonov(), grid)
+    alpha, err, _ = oracle_choice(op256, x, obs, tikhonov(), grid)
     assert alpha == pytest.approx(grid[0])
     assert err < 1e-3
 
@@ -77,17 +81,70 @@ def test_oracle_pure_noise_prefers_largest_alpha(op256):
     x = L2Vector(op256.grid, np.zeros(256))
     obs = _white_obs(op256, x, delta=1.0)
     grid = np.logspace(-8, 0, 12)
-    alpha, _ = oracle_choice(op256, x, obs, tikhonov(), grid)
+    alpha, _, _ = oracle_choice(op256, x, obs, tikhonov(), grid)
     assert alpha == pytest.approx(grid[-1])
 
 
 def test_oracle_single_element_grid(op256):
     x = make_signal("smooth", op256.grid)
     obs = _white_obs(op256, x, 0.05)
-    alpha, _ = oracle_choice(op256, x, obs, tikhonov(), [1e-3])
+    alpha, _, _ = oracle_choice(op256, x, obs, tikhonov(), [1e-3])
     assert alpha == 1e-3
     with pytest.raises(ValueError):
         oracle_choice(op256, x, obs, tikhonov(), [])
+
+
+def _brute_force_oracle(op, x_true, obs, filt, grid):
+    """One full solve per grid alpha; the first (smallest) alpha wins ties."""
+    best = None
+    for a in np.sort(np.asarray(grid, dtype=float)):
+        x = regularize_svd(filt, op, obs.coeffs, a).x_alpha
+        err = float(np.linalg.norm(x.coeffs - x_true.coeffs))
+        if best is None or err < best[1]:
+            best = (float(a), err, x)
+    return best
+
+
+@pytest.fixture(scope="module")
+def min_kernel64():
+    return build_holder_kernel_operator(Grid(64), np.minimum, holder_s=1.0, volterra=False)
+
+
+@pytest.fixture(params=["integration256", "min_kernel64"])
+def cross_check_op(request, op256, min_kernel64):
+    return {"integration256": op256, "min_kernel64": min_kernel64}[request.param]
+
+
+@pytest.mark.parametrize("filt", [tikhonov(), spectral_cutoff()], ids=lambda f: f.kind)
+def test_oracle_matches_brute_force_loop(cross_check_op, filt):
+    op = cross_check_op
+    x = make_signal("smooth", op.grid)
+    for delta in (0.1, 0.01, 0.001):
+        grid = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op.norm**2, delta_input=delta).alphas
+        for seed in range(20):
+            obs = _white_obs(op, x, delta, seed=seed)
+            alpha, err, x_alpha = oracle_choice(op, x, obs, filt, grid)
+            alpha_ref, err_ref, x_ref = _brute_force_oracle(op, x, obs, filt, grid)
+            assert alpha == alpha_ref
+            assert np.array_equal(x_alpha.coeffs, x_ref.coeffs)
+            assert err == pytest.approx(err_ref, rel=1e-12)
+
+
+def test_oracle_ties_go_to_smallest_alpha(op256):
+    x = make_signal("smooth", op256.grid)
+    obs = _white_obs(op256, x, 0.01, seed=3)
+    grid = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op256.norm**2, delta_input=0.01).alphas
+    alpha, err, x_alpha = oracle_choice(op256, x, obs, tikhonov(), grid)
+    # a repeated alpha, listed unsorted, changes nothing
+    repeated = np.concatenate([grid, [alpha, alpha]])[::-1]
+    assert oracle_choice(op256, x, obs, tikhonov(), repeated)[0] == alpha
+    # every cutoff strictly between two squared singular values keeps the
+    # same components, so the whole grid ties and the smallest alpha wins
+    theta = op256.s[:op256.rank] ** 2
+    plateau = np.linspace(theta[11], theta[10], 7)[1:-1]
+    alpha_cut, _, _ = oracle_choice(op256, x, obs, spectral_cutoff(), plateau[::-1])
+    assert alpha_cut == plateau[0]
+    assert _brute_force_oracle(op256, x, obs, spectral_cutoff(), plateau)[0] == plateau[0]
 
 
 def test_discrepancy_rejects_white_noise(op256):
@@ -107,13 +164,27 @@ def test_discrepancy_huge_delta_keeps_largest_alpha(op256):
     assert result.alpha == pytest.approx(grid[-1])
 
 
+@pytest.mark.parametrize("delta, satisfied", [(10.0, True), (1e-9, False)])
+def test_discrepancy_returns_its_solution(op256, delta, satisfied):
+    x = make_signal("smooth", op256.grid)
+    obs = observe(op256, x, delta, NoiseSpec.dirac(dirac_direction(op256.grid)))
+    grid = np.logspace(-6, -1, 8)
+    result = discrepancy_principle(op256, obs, tikhonov(), 2.0, grid)
+    assert result.satisfied is satisfied
+    sol = regularize_svd(tikhonov(), op256, obs.coeffs, result.alpha)
+    assert np.array_equal(result.x_alpha.coeffs, sol.x_alpha.coeffs)
+    assert result.residual == sol.residual_norm
+    if not satisfied:
+        assert result.alpha == grid[0]
+
+
 def test_discrepancy_noiseless_is_above_oracle(op256):
     x = make_signal("smooth", op256.grid)
     obs = _noiseless_obs(op256, x, 1e-3)
     grid = np.logspace(-8, -1, 20)
     result = discrepancy_principle(op256, obs, tikhonov(), 2.0, grid)
     assert result.satisfied
-    alpha_oracle, _ = oracle_choice(op256, x, obs, tikhonov(), grid)
+    alpha_oracle, _, _ = oracle_choice(op256, x, obs, tikhonov(), grid)
     assert result.alpha >= alpha_oracle
     # oracle cross-check: the residual is nondecreasing in alpha on the grid
     from statinv import regularize_svd

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import statinv.harness
 from statinv import (
     ConfigError,
+    EstimatorConfig,
     ExperimentConfig,
     Grid,
     L2Vector,
+    LepskiiConfig,
     LevelSchedule,
     build_integration_operator,
     parse_config,
@@ -87,6 +90,31 @@ def test_config_validation():
         config_from_mapping({"noise.kind": "levy"})
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LepskiiConfig(q=float("nan"), C_psi=1.0, max_alpha=1.0, delta_input=0.1),
+        lambda: LepskiiConfig(q=2.0, C_psi=float("inf"), max_alpha=1.0, delta_input=0.1),
+        lambda: LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=float("inf"), delta_input=0.1),
+        lambda: EstimatorConfig(tau=float("nan")),
+        lambda: EstimatorConfig(eps=float("inf")),
+        lambda: EstimatorConfig(K=float("inf")),
+        lambda: LevelSchedule(r=float("nan")),
+        lambda: LevelSchedule(eta=float("nan")),
+        lambda: LevelSchedule(c2=float("inf")),
+        lambda: LevelSchedule(n_max=float("inf")),
+    ],
+    ids=[
+        "lepskii.q=nan", "lepskii.C_psi=inf", "lepskii.max_alpha=inf",
+        "estimator.tau=nan", "estimator.eps=inf", "estimator.K=inf",
+        "schedule.r=nan", "schedule.eta=nan", "schedule.c2=inf", "schedule.n_max=inf",
+    ],
+)
+def test_configs_reject_non_finite_fields(make):
+    with pytest.raises(ValueError, match="must be finite"):
+        make()
+
+
 def test_signals():
     grid = Grid(256)
     op = build_integration_operator(grid)
@@ -118,6 +146,36 @@ def test_mse_study_oracle_decreases():
     rows = run_mse_study(cfg)
     mses = [r.mc_mse for r in rows]
     assert all(b < a for a, b in zip(mses, mses[1:]))
+
+
+@pytest.mark.parametrize(
+    "study, method",
+    [("mse", "oracle"), ("mse", "discrepancy"), ("veto", "lepskii_estimated_delta")],
+)
+def test_studies_observe_once_per_replicate(monkeypatch, study, method):
+    # the benchmark times a study from its first observe call, found by this name
+    calls = []
+    real_observe = statinv.harness.observe
+
+    def counting_observe(*args, **kwargs):
+        calls.append(kwargs["replicate"])
+        return real_observe(*args, **kwargs)
+
+    monkeypatch.setattr(statinv.harness, "observe", counting_observe)
+    cfg = ExperimentConfig(
+        operator_n=64,
+        noise_kind="dirac" if method == "discrepancy" else "gaussian_white",
+        delta_list=(0.1, 0.05, 0.02),
+        replicates=4,
+        seed=3,
+        method=method,
+        study=study,
+        schedule=LevelSchedule(c2=0.0, n_max=64),
+    )
+    run = run_mse_study if study == "mse" else run_veto_study
+    run(cfg)
+    assert len(calls) == len(cfg.delta_list) * cfg.replicates
+    assert calls == [(di, rep) for di in range(3) for rep in range(4)]
 
 
 def test_mse_single_replicate_dirac_degenerates():
