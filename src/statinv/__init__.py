@@ -57,6 +57,7 @@ from .harness import (
     parse_config,
     run_bias_variance_check,
     run_mse_study,
+    run_study,
     run_veto_study,
     write_mse_csv,
     write_veto_csv,
@@ -73,7 +74,6 @@ from .noise_level import (
     ConcentrationReport,
     EstimatorConfig,
     NoiseEstimate,
-    concentration_csv,
     estimate_delta_sq,
     omega_plus_rate,
     refine_delta_hat,
@@ -86,8 +86,6 @@ from .operators import (
     build_integration_operator,
     discretization_defect,
     generalized_inverse_apply,
-    load_operator,
-    save_operator,
 )
 from .signals import dirac_direction, make_signal
 

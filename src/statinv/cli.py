@@ -128,7 +128,7 @@ def _write_choice_row(path, delta, delta_hat, j_star, alpha_star, error, flags):
 
 def _cmd_choose(cfg: ExperimentConfig) -> int:
     op, x_true, obs = _single_observation(cfg)
-    chosen = choose(cfg, op, x_true, obs, effective_schedule(cfg, op), LevelSolverCache(op))
+    chosen = choose(cfg, cfg.method, op, x_true, obs, effective_schedule(cfg, op), LevelSolverCache(op))
     err = float(np.linalg.norm(chosen.x.coeffs - x_true.coeffs))
     print(f"method = {cfg.method}")
     if chosen.delta_hat is not None:

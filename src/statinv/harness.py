@@ -26,7 +26,7 @@ from .choice import (
 )
 from .discretization import LevelData, LevelSchedule
 from .errors import ConfigError
-from .filters import Filter, filter_value, regularize_svd, tikhonov, variance_bound
+from .filters import Filter, regularize_svd, spectral_series, tikhonov, variance_bound
 from .grid import Grid, L2Vector
 from .noise import NoiseSpec, draw_noise, observe
 from .noise_level import EstimatorConfig
@@ -47,6 +47,7 @@ __all__ = [
     "build_operator",
     "build_signal",
     "build_noise_spec",
+    "run_study",
     "run_mse_study",
     "run_bias_variance_check",
     "run_veto_study",
@@ -91,6 +92,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown operator.kind {self.operator_kind!r}")
         if self.operator_n < 2:
             raise ConfigError("operator.n must be >= 2")
+        if all(self.operator_n % d for d in range(2, math.isqrt(self.operator_n) + 1)):
+            # nested levels are the divisors of n: a prime n leaves only 1 and n
+            raise ConfigError(f"operator.n must not be prime, got {self.operator_n}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.study not in ("mse", "veto"):
@@ -244,18 +248,13 @@ def effective_schedule(cfg: ExperimentConfig, op: DiscreteOperator) -> LevelSche
     return cfg.schedule.with_n_max(min(cfg.schedule.n_max, op.n))
 
 
-def _lepskii_template(cfg: ExperimentConfig, op: DiscreteOperator, delta: float) -> LepskiiConfig:
-    return LepskiiConfig(
-        q=cfg.lepskii_q, C_psi=cfg.lepskii_c_psi, max_alpha=op.norm**2, delta_input=delta
-    )
-
-
-def _summarize(delta, method, err_vectors, epsilons, x_norm) -> MseRow:
+def _summarize(delta, method, x_true, chosen, epsilons) -> MseRow:
+    err_vectors = [x_true.coeffs - c.x.coeffs for c in chosen]
     errs = np.array([float(np.linalg.norm(v)) for v in err_vectors])
     mean_vec = np.mean(err_vectors, axis=0)
     mse_sq = float(np.mean(errs**2))
     bias_sq = float(np.sum(mean_vec**2))
-    exceed = {eps: float(np.mean(errs > eps * x_norm)) for eps in epsilons}
+    exceed = {eps: float(np.mean(errs > eps * x_true.norm())) for eps in epsilons}
     return MseRow(
         delta=float(delta),
         method=method,
@@ -268,6 +267,28 @@ def _summarize(delta, method, err_vectors, epsilons, x_norm) -> MseRow:
     )
 
 
+def run_study(cfg: ExperimentConfig, methods: Sequence[str]):
+    """Run every method in ``methods`` on the same realizations along delta_list.
+
+    Builds the operator, signal, schedule, noise spec and level cache once;
+    each replicate is drawn once and handed to every method through
+    ``choose``.  Yields ``(delta, x_true, choices)`` per delta, where
+    ``choices[method]`` holds that method's ``Choice`` per replicate.
+    """
+    op = build_operator(cfg)
+    x_true = build_signal(cfg, op)
+    sched = effective_schedule(cfg, op)
+    spec = build_noise_spec(cfg, op.grid)
+    cache = LevelSolverCache(op)
+    for di, delta in enumerate(cfg.delta_list):
+        choices = {method: [] for method in methods}
+        for rep in range(cfg.replicates):
+            obs = observe(op, x_true, delta, spec, replicate=(di, rep))
+            for method in methods:
+                choices[method].append(choose(cfg, method, op, x_true, obs, sched, cache))
+        yield delta, x_true, choices
+
+
 def run_mse_study(cfg: ExperimentConfig) -> list:
     """Monte Carlo error of one parameter-choice method along delta_list.
 
@@ -275,28 +296,19 @@ def run_mse_study(cfg: ExperimentConfig) -> list:
     one noise sequence per replicate along finitely many noise levels, it
     does not quantify over all admissible sequences.
     """
-    op = build_operator(cfg)
-    x_true = build_signal(cfg, op)
-    sched = effective_schedule(cfg, op)
-    spec = build_noise_spec(cfg, op.grid)
-    cache = LevelSolverCache(op)
-    rows = []
-    for di, delta in enumerate(cfg.delta_list):
-        err_vectors = []
-        for rep in range(cfg.replicates):
-            obs = observe(op, x_true, delta, spec, replicate=(di, rep))
-            x_hat = choose(cfg, op, x_true, obs, sched, cache).x
-            err_vectors.append(x_true.coeffs - x_hat.coeffs)
-        rows.append(_summarize(delta, cfg.method, err_vectors, cfg.epsilons, x_true.norm()))
-    return rows
+    return [
+        _summarize(delta, cfg.method, x_true, choices[cfg.method], cfg.epsilons)
+        for delta, x_true, choices in run_study(cfg, (cfg.method,))
+    ]
 
 
 @dataclass
 class Choice:
     """One method's parameter choice on one observation.
 
-    ``j_star`` and ``m`` are set by the Lepskii methods, ``delta_hat`` by
-    the estimated-delta method, ``residual`` and ``satisfied`` by the
+    ``j_star``, ``m`` and ``best_error`` (the least true error over the
+    Lepskii candidates) are set by the Lepskii methods, ``delta_hat`` by the
+    estimated-delta method, ``residual`` and ``satisfied`` by the
     discrepancy principle.
     """
 
@@ -308,19 +320,22 @@ class Choice:
     delta_hat: Optional[float] = None
     residual: Optional[float] = None
     satisfied: Optional[bool] = None
+    best_error: Optional[float] = None
 
 
-def choose(cfg, op, x_true, obs, sched, cache) -> Choice:
-    """Run ``cfg.method`` on ``obs``; the one dispatch over ``METHODS``.
+def choose(cfg, method, op, x_true, obs, sched, cache) -> Choice:
+    """Run ``method`` on ``obs``; the one dispatch over ``METHODS``.
 
-    ``x_true`` is read by the oracle only.
+    ``x_true`` is read by the oracle and for the Lepskii ``best_error``.
     """
-    template = _lepskii_template(cfg, op, obs.delta)
+    template = LepskiiConfig(
+        q=cfg.lepskii_q, C_psi=cfg.lepskii_c_psi, max_alpha=op.norm**2, delta_input=obs.delta
+    )
     filt = tikhonov()
-    if cfg.method == "oracle":
+    if method == "oracle":
         alpha, _, x = oracle_choice(op, x_true, obs, filt, template.alphas)
         return Choice(alpha=alpha, x=x)
-    if cfg.method == "discrepancy":
+    if method == "discrepancy":
         dp = discrepancy_principle(op, obs, filt, cfg.tau_dp, template.alphas)
         return Choice(
             alpha=dp.alpha,
@@ -330,13 +345,15 @@ def choose(cfg, op, x_true, obs, sched, cache) -> Choice:
             satisfied=dp.satisfied,
         )
     delta_hat = None
-    if cfg.method == "lepskii_known_delta":
+    if method == "lepskii_known_delta":
         lep = lepskii_choose(op, obs, template, sched, cache=cache)
-    else:  # lepskii_estimated_delta
+    elif method == "lepskii_estimated_delta":
         estimate, lep, _ = data_driven_choose(
             op, LevelData(obs), cfg.estimator, template, sched, cache=cache
         )
         delta_hat = estimate.delta_hat
+    else:
+        raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
     return Choice(
         alpha=lep.alpha_star,
         x=lep.x_star,
@@ -344,6 +361,7 @@ def choose(cfg, op, x_true, obs, sched, cache) -> Choice:
         j_star=lep.j_star,
         m=lep.m,
         delta_hat=delta_hat,
+        best_error=min(np.linalg.norm(x_true.coeffs - x.coeffs) for x in lep.solutions),
     )
 
 
@@ -385,13 +403,11 @@ def run_bias_variance_check(
     bias_vec = x_true.coeffs - regularize_svd(filt, op, y, alpha).x_alpha.coeffs
     bias_sq = float(np.sum(bias_vec**2))
     spec = NoiseSpec.gaussian_white(seed)
-    r = op.rank
-    weights = filter_value(filt, alpha, op.s[:r] ** 2) * op.s[:r]
     d_samples = np.empty(replicates)
     v_samples = np.empty(replicates)
     for rep in range(replicates):
         xi = draw_noise(spec, op.grid, rep)
-        r_xi = op.vt[:r].T @ (weights * (op.u[:, :r].T @ xi))
+        r_xi = spectral_series(filt, op, xi, alpha)
         err_sq = float(np.sum((bias_vec - delta * r_xi) ** 2))
         v_samples[rep] = float(np.sum(r_xi**2))
         d_samples[rep] = err_sq - delta**2 * v_samples[rep]
@@ -421,48 +437,29 @@ def run_veto_study(cfg: ExperimentConfig) -> list:
     """Paired comparison of the known-delta and purely data-driven pipelines.
 
     Both pipelines see the identical realization per replicate; the oracle
-    column is the per-replicate error minimum over the known-delta grid.
+    column is the per-replicate least error over the known-delta Lepskii
+    candidates, each at its own level.
     """
-    op = build_operator(cfg)
-    x_true = build_signal(cfg, op)
-    sched = effective_schedule(cfg, op)
-    spec = build_noise_spec(cfg, op.grid)
-    cache = LevelSolverCache(op)
     est = cfg.estimator
+    pair = ("lepskii_known_delta", "lepskii_estimated_delta")
     rows = []
-    for di, delta in enumerate(cfg.delta_list):
-        template = _lepskii_template(cfg, op, delta)
-        e_known = np.empty(cfg.replicates)
-        e_est = np.empty(cfg.replicates)
-        e_orc = np.empty(cfg.replicates)
-        hits = 0
-        for rep in range(cfg.replicates):
-            obs = observe(op, x_true, delta, spec, replicate=(di, rep))
-            known = lepskii_choose(op, obs, template, sched, cache=cache)
-            e_known[rep] = np.linalg.norm(x_true.coeffs - known.x_star.coeffs)
-            e_orc[rep] = min(
-                np.linalg.norm(x_true.coeffs - x.coeffs) for x in known.solutions
-            )
-            estimate, lep, x_final = data_driven_choose(
-                op, LevelData(obs), est, template, sched, cache=cache
-            )
-            e_est[rep] = np.linalg.norm(x_true.coeffs - x_final.coeffs)
-            if delta <= estimate.delta_hat <= est.K * est.tau * delta:
-                hits += 1
-        mse_known = float(np.sqrt(np.mean(e_known**2)))
-        mse_est = float(np.sqrt(np.mean(e_est**2)))
+    for delta, x_true, choices in run_study(cfg, pair):
+        known, estimated = (choices[m] for m in pair)
+        known_row, est_row = (_summarize(delta, m, x_true, choices[m], ()) for m in pair)
+        e_orc = np.array([c.best_error for c in known])
+        hits = sum(delta <= c.delta_hat <= est.K * est.tau * delta for c in estimated)
         rows.append(
             VetoRow(
                 delta=float(delta),
-                mse_known=mse_known,
-                mse_estimated=mse_est,
-                ratio=mse_est / mse_known,
+                mse_known=known_row.mc_mse,
+                mse_estimated=est_row.mc_mse,
+                ratio=est_row.mc_mse / known_row.mc_mse,
                 hit_rate=hits / cfg.replicates,
                 mse_oracle=float(np.sqrt(np.mean(e_orc**2))),
-                m=template.m,
+                m=known[0].m,
                 rep_count=cfg.replicates,
-                errors_known=e_known,
-                errors_estimated=e_est,
+                errors_known=known_row.errors,
+                errors_estimated=est_row.errors,
             )
         )
     return rows

@@ -32,7 +32,6 @@ __all__ = [
     "estimate_delta_sq",
     "refine_delta_hat",
     "omega_plus_rate",
-    "concentration_csv",
 ]
 
 log = logging.getLogger(__name__)
@@ -62,26 +61,6 @@ class ConcentrationReport:
     hit_rate: float
     replicates: int
     n: int
-
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                format(self.delta_true, ".17g"),
-                str(self.n),
-                format(self.tau, ".17g"),
-                format(self.K, ".17g"),
-                format(self.hit_rate, ".17g"),
-                str(self.replicates),
-            ]
-        )
-
-
-def concentration_csv(reports, path) -> None:
-    """Write concentration reports as CSV rows (delta, n, tau, K, hit_rate, replicates)."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("delta,n,tau,K,hit_rate,replicates\n")
-        for report in reports:
-            fh.write(report.csv_row() + "\n")
 
 
 @dataclass(frozen=True)

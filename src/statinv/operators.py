@@ -25,8 +25,6 @@ __all__ = [
     "apply",
     "generalized_inverse_apply",
     "discretization_defect",
-    "save_operator",
-    "load_operator",
 ]
 
 # Relative threshold below which singular values are treated as zero.
@@ -199,29 +197,3 @@ def discretization_defect(op: DiscreteOperator, full_op: DiscreteOperator) -> fl
     blocks = full_op.matrix.reshape(n_c, n_f // n_c, n_f)
     residual = (blocks - blocks.mean(axis=1, keepdims=True)).reshape(n_f, n_f)
     return float(np.linalg.svd(residual, compute_uv=False)[0])
-
-
-def save_operator(op: DiscreteOperator, path) -> None:
-    """Write the matrix row-major as CSV after a header line ``n=<int>``."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"n={op.n}\n")
-        for row in op.matrix:
-            fh.write(",".join(format(v, ".17g") for v in row))
-            fh.write("\n")
-
-
-def load_operator(path) -> DiscreteOperator:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("n="):
-            raise ValueError(f"malformed operator file header: {header!r}")
-        n = int(header[2:])
-        rows = [
-            np.array([float(v) for v in line.split(",")])
-            for line in fh
-            if line.strip()
-        ]
-    matrix = np.vstack(rows)
-    if matrix.shape != (n, n):
-        raise ValueError(f"operator file promised n={n} but holds {matrix.shape}")
-    return DiscreteOperator(Grid(n), matrix)

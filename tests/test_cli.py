@@ -2,12 +2,14 @@ import pytest
 
 from statinv.choice import LevelSolverCache
 from statinv.cli import main
+from statinv.errors import ConfigError
 from statinv.harness import (
     METHODS,
     build_noise_spec,
     build_operator,
     build_signal,
     choose,
+    config_from_mapping,
     effective_schedule,
     parse_config,
 )
@@ -120,7 +122,7 @@ def test_harness_and_cli_choose_same_alpha(tmp_path, capsys, method):
     x_true = build_signal(cfg, op)
     # the first replicate of the first delta, as in run_mse_study
     obs = observe(op, x_true, cfg.delta_list[0], build_noise_spec(cfg, op.grid), replicate=(0, 0))
-    chosen = choose(cfg, op, x_true, obs, effective_schedule(cfg, op), LevelSolverCache(op))
+    chosen = choose(cfg, cfg.method, op, x_true, obs, effective_schedule(cfg, op), LevelSolverCache(op))
     assert chosen.alpha == cli_alpha
 
 
@@ -136,6 +138,16 @@ def test_non_finite_config_exits_2(tmp_path, capsys, extra):
     cfg = _cfg_file(tmp_path, extra=extra)
     assert main(["converge", "--config", cfg, "--out", str(tmp_path / "rows.csv")]) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+def test_prime_operator_n_exits_2(tmp_path, capsys):
+    # levels are divisors of operator.n: a prime n would put every level on the fine grid
+    with pytest.raises(ConfigError, match="1021"):
+        config_from_mapping({"operator.n": "1021"})
+    cfg = _cfg_file(tmp_path, extra="operator.n = 61\n")
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "rows.csv")]) == 2
+    assert "operator.n must not be prime, got 61" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
 
 
 def test_estimate_noise(tmp_path, capsys):

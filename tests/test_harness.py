@@ -13,14 +13,23 @@ from statinv import (
     build_integration_operator,
     parse_config,
     run_bias_variance_check,
+    lepskii_choose,
+    observe,
     run_mse_study,
+    run_study,
     run_veto_study,
     tikhonov,
     variance_bound,
     write_mse_csv,
     write_veto_csv,
 )
-from statinv.harness import build_operator, build_signal, config_from_mapping
+from statinv.harness import (
+    build_noise_spec,
+    build_operator,
+    build_signal,
+    config_from_mapping,
+    effective_schedule,
+)
 from statinv.signals import dirac_direction, make_signal
 
 VETO_SCHED = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=1024)
@@ -176,6 +185,50 @@ def test_studies_observe_once_per_replicate(monkeypatch, study, method):
     run(cfg)
     assert len(calls) == len(cfg.delta_list) * cfg.replicates
     assert calls == [(di, rep) for di in range(3) for rep in range(4)]
+
+
+def test_run_study_pairs_methods_on_one_realization():
+    cfg = ExperimentConfig(
+        operator_n=64,
+        delta_list=(0.1, 0.05, 0.02),
+        replicates=4,
+        seed=3,
+        schedule=LevelSchedule(c2=0.0, n_max=64),
+    )
+    methods = ("oracle", "lepskii_known_delta", "lepskii_estimated_delta")
+    together = list(run_study(cfg, methods))
+    assert [delta for delta, _, _ in together] == list(cfg.delta_list)
+    # the shared realization and level cache do not couple the methods
+    for method in methods:
+        alone = list(run_study(cfg, (method,)))
+        for (_, _, both), (_, _, one) in zip(together, alone, strict=True):
+            assert len(both[method]) == len(one[method]) == cfg.replicates
+            for a, b in zip(both[method], one[method]):
+                assert np.array_equal(a.x.coeffs, b.x.coeffs)
+    op = build_operator(cfg)
+    sched = effective_schedule(cfg, op)
+    spec = build_noise_spec(cfg, op.grid)
+    for di, (delta, x_true, choices) in enumerate(together):
+        template = LepskiiConfig(
+            q=cfg.lepskii_q, C_psi=cfg.lepskii_c_psi, max_alpha=op.norm**2, delta_input=delta
+        )
+        assert all(c.best_error is None for c in choices["oracle"])
+        for method in methods[1:]:
+            for rep, c in enumerate(choices[method]):
+                assert c.best_error <= np.linalg.norm(x_true.coeffs - c.x.coeffs)
+                obs = observe(op, x_true, delta, spec, replicate=(di, rep))
+                lep_cfg = template if c.delta_hat is None else template.with_delta(c.delta_hat)
+                fresh = lepskii_choose(op, obs, lep_cfg, sched)
+                assert np.array_equal(fresh.x_star.coeffs, c.x.coeffs)
+                assert c.best_error == min(
+                    np.linalg.norm(x_true.coeffs - x.coeffs) for x in fresh.solutions
+                )
+
+
+def test_choose_rejects_unknown_method():
+    cfg = ExperimentConfig(operator_n=64, delta_list=(0.1,), replicates=1)
+    with pytest.raises(ConfigError, match="lcurve"):
+        list(run_study(cfg, ("lcurve",)))
 
 
 def test_mse_single_replicate_dirac_degenerates():

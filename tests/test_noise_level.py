@@ -166,16 +166,3 @@ def test_omega_plus_miss_rate_improves_with_n(op512):
     fine = omega_plus_rate(op512, x, 0.1, 1.5, 3.0, 512, replicates=500, seed=9)
     assert (1 - fine.hit_rate) <= (1 - coarse.hit_rate)
     assert coarse.n == 64 and fine.n == 512
-
-
-def test_concentration_csv(tmp_path, op64):
-    from statinv import concentration_csv
-
-    x = make_signal("smooth", op64.grid)
-    reports = [omega_plus_rate(op64, x, 0.1, 1.5, 3.0, n, replicates=10, seed=4) for n in (16, 64)]
-    path = tmp_path / "omega.csv"
-    concentration_csv(reports, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "delta,n,tau,K,hit_rate,replicates"
-    assert len(lines) == 3
-    assert lines[1].split(",")[1] == "16"

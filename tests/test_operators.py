@@ -11,8 +11,6 @@ from statinv import (
     build_integration_operator,
     discretization_defect,
     generalized_inverse_apply,
-    load_operator,
-    save_operator,
 )
 from statinv.operators import TOL_SVD
 
@@ -201,11 +199,3 @@ def test_rank_truncation_threshold():
     op = DiscreteOperator(grid, np.diag([1.0, 1e-3, 1e-14]))
     assert op.rank == 2
     assert TOL_SVD == 1e-10
-
-
-def test_serialization_round_trip(tmp_path, op64):
-    path = tmp_path / "op.csv"
-    save_operator(op64, path)
-    loaded = load_operator(path)
-    assert loaded.n == op64.n
-    assert np.array_equal(loaded.matrix, op64.matrix)
