@@ -165,7 +165,8 @@ def project_operator(op_fine: DiscreteOperator, n_coarse: int) -> DiscreteOperat
 
     Because the coarse basis lies in the fine span, compressing the fine
     Galerkin matrix reproduces the coarse Galerkin matrix of the same
-    operator up to rounding.
+    operator up to rounding.  The fine operator's ``factor``, when it has
+    one, supplies the coarse singular system.
     """
     n_fine = op_fine.n
     if n_fine % n_coarse != 0:
@@ -173,9 +174,11 @@ def project_operator(op_fine: DiscreteOperator, n_coarse: int) -> DiscreteOperat
     if n_coarse == n_fine:
         return op_fine
     idx = np.arange(0, n_fine, n_fine // n_coarse)
-    rows = np.add.reduceat(op_fine.matrix, idx, axis=0)
-    m = np.add.reduceat(rows, idx, axis=1) * (n_coarse / n_fine)
-    return DiscreteOperator(Grid(n_coarse), m, holder_s=op_fine.holder_s)
+    # one expression, so the n_coarse x n_fine row sums are freed before the
+    # coarse operator factors its matrix
+    m = np.add.reduceat(np.add.reduceat(op_fine.matrix, idx, axis=0), idx, axis=1)
+    m *= n_coarse / n_fine
+    return DiscreteOperator(Grid(n_coarse), m, holder_s=op_fine.holder_s, factor=op_fine.factor)
 
 
 class LevelData:

@@ -270,8 +270,8 @@ def _summarize(delta, method, x_true, chosen, epsilons) -> MseRow:
 def run_study(cfg: ExperimentConfig, methods: Sequence[str]):
     """Run every method in ``methods`` on the same realizations along delta_list.
 
-    Builds the operator, signal, schedule, noise spec and level cache once;
-    each replicate is drawn once and handed to every method through
+    Builds the operator, signal, exact data, schedule, noise spec and level
+    cache once; each replicate is drawn once and handed to every method through
     ``choose``.  Yields ``(delta, x_true, choices)`` per delta, where
     ``choices[method]`` holds that method's ``Choice`` per replicate.
     """
@@ -280,10 +280,11 @@ def run_study(cfg: ExperimentConfig, methods: Sequence[str]):
     sched = effective_schedule(cfg, op)
     spec = build_noise_spec(cfg, op.grid)
     cache = LevelSolverCache(op)
+    y_exact = apply(op, x_true)
     for di, delta in enumerate(cfg.delta_list):
         choices = {method: [] for method in methods}
         for rep in range(cfg.replicates):
-            obs = observe(op, x_true, delta, spec, replicate=(di, rep))
+            obs = observe(op, x_true, delta, spec, replicate=(di, rep), y_exact=y_exact)
             for method in methods:
                 choices[method].append(choose(cfg, method, op, x_true, obs, sched, cache))
         yield delta, x_true, choices
@@ -412,8 +413,10 @@ def run_bias_variance_check(
         v_samples[rep] = float(np.sum(r_xi**2))
         d_samples[rep] = err_sq - delta**2 * v_samples[rep]
     v_hat = float(np.mean(v_samples))
-    mse_sq = float(np.mean(d_samples + delta**2 * v_samples))
-    gap = abs(float(np.mean(d_samples)) - bias_sq)
+    # means centred at bias^2: exact when every sample equals it (delta = 0),
+    # where averaging the raw samples can round off by an ulp
+    mse_sq = bias_sq + float(np.mean(d_samples + delta**2 * v_samples - bias_sq))
+    gap = abs(float(np.mean(d_samples - bias_sq)))
     se = float(np.std(d_samples, ddof=1) / np.sqrt(replicates)) if replicates > 1 else 0.0
     # rounding floor: the paired gap cannot be resolved below machine noise
     fp_floor = 1e-12 * (bias_sq + delta**2 * v_hat)

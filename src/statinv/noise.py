@@ -138,11 +138,20 @@ def observe(
     delta: float,
     spec: NoiseSpec,
     replicate: ReplicateKey = 0,
+    *,
+    y_exact: Optional[L2Vector] = None,
 ) -> Observation:
-    """Assemble an observation Y_delta = Q T x + delta * Xi on the operator grid."""
+    """Assemble an observation Y_delta = Q T x + delta * Xi on the operator grid.
+
+    ``y_exact`` is ``apply(op, x_true)`` when the caller already has it, so
+    that a study over many replicates applies the operator once.
+    """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    y_exact = apply(op, x_true)
+    if y_exact is None:
+        y_exact = apply(op, x_true)
+    elif y_exact.grid != op.grid:
+        raise ValueError("exact data and operator grids do not match")
     xi = draw_noise(spec, op.grid, replicate)
     return Observation(
         grid=op.grid,

@@ -1,8 +1,12 @@
 """Discrete compact operators on L2[0, 1] in the indicator basis.
 
 Operators are represented by their Galerkin matrix M_ij = <T phi_j, phi_i>
-on an equidistant grid; the singular value decomposition is computed once at
-construction and cached.  All operators here map L2[0, 1] to itself and are
+on an equidistant grid, together with a singular system computed once at
+construction and cached.  The integration operator takes its singular system
+from a closed form (DST-IV and DCT-IV bases, see :func:`integration_svd`), at
+the fine grid and at every nested level projected from it; every other
+operator (the Hoelder-kernel family, ``min_kernel`` among them) runs a dense
+LAPACK SVD.  All operators here map L2[0, 1] to itself and are
 Hilbert-Schmidt by construction (finite matrices), mirroring the compact
 operators whose regularization the rest of the package studies.
 """
@@ -10,7 +14,7 @@ operators whose regularization the rest of the package studies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -20,6 +24,7 @@ __all__ = [
     "TOL_SVD",
     "DiscreteOperator",
     "SourceCondition",
+    "integration_svd",
     "build_integration_operator",
     "build_holder_kernel_operator",
     "apply",
@@ -34,6 +39,19 @@ TOL_SVD = 1e-10
 class DiscreteOperator:
     """An n x n Galerkin matrix together with its cached singular system.
 
+    The singular system comes from ``factor(n)`` when a factor is given and
+    from a dense ``np.linalg.svd`` of ``matrix`` otherwise.
+
+    Parameters
+    ----------
+    factor : callable n -> (u, s, vt), optional
+        Closed-form singular system of ``matrix``.  It is kept on the operator
+        and handed on by :func:`discretization.project_operator` to every
+        coarser level, so it is valid only for an operator family closed
+        under nested projection: ``factor(n_c)`` must factor ``E^T M E`` for
+        every level ``n_c`` the fine matrix is projected to, as
+        :func:`integration_svd` does for the integration operator.
+
     Attributes
     ----------
     grid : Grid
@@ -47,18 +65,26 @@ class DiscreteOperator:
         Number of singular values above ``TOL_SVD * s[0]``.
     holder_s : float or None
         Caller-asserted Hoelder exponent of t -> k(t, u), when known.
+    factor : callable or None
+        The ``factor`` the operator was built with.
     """
 
-    __slots__ = ("grid", "matrix", "u", "s", "vt", "hs_norm", "rank", "holder_s")
+    __slots__ = ("grid", "matrix", "u", "s", "vt", "hs_norm", "rank", "holder_s", "factor")
 
-    def __init__(self, grid: Grid, matrix, holder_s: Optional[float] = None):
+    def __init__(
+        self,
+        grid: Grid,
+        matrix,
+        holder_s: Optional[float] = None,
+        factor: Optional[Callable[[int], Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None,
+    ):
         matrix = np.asarray(matrix, dtype=float)
         n = grid.n_cells
         if matrix.shape != (n, n):
             raise ValueError(f"matrix has shape {matrix.shape}, expected ({n}, {n})")
         matrix = matrix.copy()
         matrix.setflags(write=False)
-        u, s, vt = np.linalg.svd(matrix)
+        u, s, vt = np.linalg.svd(matrix) if factor is None else factor(n)
         self.grid = grid
         self.matrix = matrix
         self.u = u
@@ -70,6 +96,7 @@ class DiscreteOperator:
         else:
             self.rank = 0
         self.holder_s = holder_s
+        self.factor = factor
 
     @property
     def n(self) -> int:
@@ -115,16 +142,58 @@ class SourceCondition:
         return cls(phi=lambda t, _nu=nu: t**_nu, radius=radius, kind="holder", nu=nu)
 
 
+# Entries of the integer phase block in integration_svd (2 MiB of int64),
+# so its working memory stays small whatever n is.
+_PHASE_BLOCK = 2**18
+
+
+def integration_svd(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form SVD of the n x n integration Galerkin matrix.
+
+    With 0-based j and 1-based k,
+
+        u[j, k-1]  = sqrt(2/n) sin(pi (2j+1)(2k-1) / (4n))   (DST-IV),
+        vt[k-1, j] = sqrt(2/n) cos(pi (2j+1)(2k-1) / (4n))   (DCT-IV),
+        s[k-1]     = cot((2k-1) pi / (4n)) / (2n),
+
+    so ``M = u @ diag(s) @ vt`` with ``s`` strictly decreasing.  Both bases
+    are symmetric matrices.  Every entry is read from one table of
+    sin(pi i / (4n)), i < 8n, at the phase (2j+1)(2k-1) reduced mod 8n in
+    integer arithmetic, so no angle is rounded before its reduction.  u and
+    vt are written block by block into their final arrays.  References:
+    Britanak, Yip and Rao, *Discrete Cosine and Sine Transforms* (2007);
+    Strang, SIAM Review 41 (1999).
+    """
+    odd = np.arange(1, 2 * n, 2)
+    period = 8 * n
+    angle = np.pi / (4 * n)
+    table = np.sqrt(2.0 / n) * np.sin(np.arange(period) * angle)
+    u = np.empty((n, n))
+    vt = np.empty((n, n))
+    rows = max(1, _PHASE_BLOCK // n)
+    for j0 in range(0, n, rows):
+        phase = np.multiply.outer(odd[j0 : j0 + rows], odd)
+        phase %= period
+        np.take(table, phase, out=u[j0 : j0 + rows])
+        phase += 2 * n  # cos(t) = sin(t + pi/2)
+        phase %= period
+        np.take(table, phase, out=vt[j0 : j0 + rows])
+    s = 1.0 / (2 * n * np.tan(odd * angle))
+    return u, s, vt
+
+
 def build_integration_operator(grid: Grid) -> DiscreteOperator:
     """Galerkin matrix of the Volterra integration operator (Tx)(t) = int_0^t x.
 
     The entries are exact integrals of piecewise-constant functions:
-    M_jj = 1/(2n), M_ij = 1/n for i > j, zero above the diagonal.
+    M_jj = 1/(2n), M_ij = 1/n for i > j, zero above the diagonal.  The
+    singular system is the closed form :func:`integration_svd`, which also
+    factors every nested projection of the matrix.
     """
     n = grid.n_cells
     m = np.tril(np.full((n, n), 1.0 / n), k=-1)
     np.fill_diagonal(m, 0.5 / n)
-    return DiscreteOperator(grid, m, holder_s=1.0)
+    return DiscreteOperator(grid, m, holder_s=1.0, factor=integration_svd)
 
 
 def build_holder_kernel_operator(

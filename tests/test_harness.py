@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import statinv.harness
+import statinv.noise
 from statinv import (
     ConfigError,
     EstimatorConfig,
@@ -185,6 +186,29 @@ def test_studies_observe_once_per_replicate(monkeypatch, study, method):
     run(cfg)
     assert len(calls) == len(cfg.delta_list) * cfg.replicates
     assert calls == [(di, rep) for di in range(3) for rep in range(4)]
+
+
+def test_study_applies_the_operator_once(monkeypatch):
+    # T x_true is fixed for the whole study: computed once, not per replicate
+    applied = []
+    real_apply = statinv.noise.apply
+
+    def counting_apply(op, x):
+        applied.append(op.n)
+        return real_apply(op, x)
+
+    monkeypatch.setattr(statinv.noise, "apply", counting_apply)
+    monkeypatch.setattr(statinv.harness, "apply", counting_apply)
+    cfg = ExperimentConfig(
+        operator_n=64,
+        delta_list=(0.1, 0.05, 0.02),
+        replicates=4,
+        seed=3,
+        method="oracle",
+        schedule=LevelSchedule(c2=0.0, n_max=64),
+    )
+    run_mse_study(cfg)
+    assert applied == [64]
 
 
 def test_run_study_pairs_methods_on_one_realization():

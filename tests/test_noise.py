@@ -5,6 +5,7 @@ from statinv import (
     Grid,
     L2Vector,
     NoiseSpec,
+    apply,
     build_integration_operator,
     draw_noise,
     observation_to_csv,
@@ -98,6 +99,20 @@ def test_observe_determinism(op64):
     b = observe(op64, x, 0.1, spec, replicate=(2, 5))
     assert np.array_equal(a.coeffs, b.coeffs)
     assert a.seed_used == b.seed_used
+
+
+def test_observe_with_precomputed_exact_data_is_bit_identical(op64):
+    x = make_signal("smooth", op64.grid)
+    y_exact = apply(op64, x)
+    spec = NoiseSpec.gaussian_white(seed=9)
+    for rep in range(3):
+        fresh = observe(op64, x, 0.05, spec, replicate=(1, rep))
+        reused = observe(op64, x, 0.05, spec, replicate=(1, rep), y_exact=y_exact)
+        assert np.array_equal(fresh.coeffs, reused.coeffs)
+        assert np.array_equal(fresh.y_exact.coeffs, reused.y_exact.coeffs)
+        assert fresh.seed_used == reused.seed_used
+    with pytest.raises(ValueError):
+        observe(op64, x, 0.05, spec, y_exact=L2Vector(Grid(32), np.zeros(32)))
 
 
 def test_observation_replay_from_seed_used(op64):

@@ -11,8 +11,12 @@ from statinv import (
     build_integration_operator,
     discretization_defect,
     generalized_inverse_apply,
+    project_operator,
+    regularize_normal_equations,
+    spectral_series,
+    tikhonov,
 )
-from statinv.operators import TOL_SVD
+from statinv.operators import TOL_SVD, integration_svd
 
 
 def test_single_cell_matrix_is_one_half():
@@ -199,3 +203,51 @@ def test_rank_truncation_threshold():
     op = DiscreteOperator(grid, np.diag([1.0, 1e-3, 1e-14]))
     assert op.rank == 2
     assert TOL_SVD == 1e-10
+
+
+def _check_against_lapack(op):
+    # oracle: the dense LAPACK SVD of the operator's own matrix
+    s_ref = np.linalg.svd(op.matrix, compute_uv=False)
+    assert np.max(np.abs(op.s - s_ref)) <= 1e-14 * op.s[0]
+    assert np.all(np.diff(op.s) <= 0.0)
+    assert np.max(np.abs((op.u * op.s) @ op.vt - op.matrix)) <= 1e-15
+    eye = np.eye(op.n)
+    assert np.max(np.abs(op.u.T @ op.u - eye)) <= 1e-12
+    assert np.max(np.abs(op.vt @ op.vt.T - eye)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 10, 64, 96, 256, 1024])
+def test_closed_form_svd_matches_lapack(n):
+    op = build_integration_operator(Grid(n))
+    assert op.factor is integration_svd
+    _check_against_lapack(op)
+
+
+@pytest.mark.parametrize("n_fine, n_coarse", [(1018, 509), (96, 12), (2048, 1024)])
+def test_projected_closed_form_matches_lapack(n_fine, n_coarse):
+    op = project_operator(build_integration_operator(Grid(n_fine)), n_coarse)
+    assert op.factor is integration_svd
+    _check_against_lapack(op)
+    # the closed-form series solves the projected matrix's normal equations
+    y = np.random.default_rng(n_coarse).standard_normal(n_coarse)
+    series = spectral_series(tikhonov(), op, y, 1e-4)
+    direct = regularize_normal_equations(op, y, 1e-4).x_alpha.coeffs
+    assert np.linalg.norm(series - direct) <= 1e-10 * np.linalg.norm(direct)
+
+
+def test_only_operators_without_closed_form_run_lapack_svd(monkeypatch):
+    calls = []
+    dense_svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return dense_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    fine = build_integration_operator(Grid(96))
+    for level in (48, 32, 12, 1):
+        project_operator(fine, level)
+    assert calls == []
+    op = build_holder_kernel_operator(Grid(32), np.minimum, holder_s=1.0, volterra=False)
+    assert op.factor is None
+    assert calls == [(32, 32)]
