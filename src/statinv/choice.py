@@ -14,6 +14,9 @@ purely data driven.
 Candidates are Tikhonov solutions at level n(alpha_j, delta), computed as
 the spectral series of the level operator from its cached SVD, so that all
 alphas and replicates reuse the factorization made when the level is built.
+The level data come from the caller's data source (a :class:`LevelData` of
+one realization), so the known-delta and the estimated-delta pipelines, and
+the noise-level estimator, read the same projected observations.
 """
 
 from __future__ import annotations
@@ -23,15 +26,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .discretization import (
-    LevelData,
-    LevelSchedule,
-    embed_vector,
-    n_of,
-    nested_level,
-    project,
-    project_operator,
-)
+from .discretization import LevelSchedule, embed_vector, n_of, project_operator
 from .errors import WhiteNoiseError, require_finite
 from .filters import Filter, filter_value, regularize_svd, spectral_series, tikhonov
 from .grid import L2Vector
@@ -218,7 +213,7 @@ def discrepancy_principle(
 
 def lepskii_choose(
     op: DiscreteOperator,
-    obs: Observation,
+    data: Callable[[int], Observation],
     cfg: LepskiiConfig,
     sched: LevelSchedule,
     source: Optional[SourceCondition] = None,
@@ -226,8 +221,9 @@ def lepskii_choose(
 ) -> LepskiiResult:
     """Balancing choice over the geometric grid with per-candidate levels.
 
-    All candidates are computed from the single realization in ``obs``,
-    projected down to the level n(alpha_j, delta); pairwise distances are
+    ``data`` maps a requested level to the observation there, rounded up to
+    a nested level, as :class:`LevelData` does for one realization; candidate
+    j reads its data as ``data(n(alpha_j, delta))``.  Pairwise distances are
     taken after isometric embedding into the fine grid.  When a source
     condition is supplied, the observable-vs-bias balance diagnostic
     alpha_check = max{j: Phi(j) <= delta Psi(j)} is reported as well, with
@@ -248,8 +244,8 @@ def lepskii_choose(
     solutions = []
     psi = np.empty(m + 1)
     for j, a in enumerate(alphas):
-        level = nested_level(n_of(a, delta, sched), obs.n)
-        obs_j = project(obs, level)
+        obs_j = data(n_of(a, delta, sched))
+        level = obs_j.n
         x_j = spectral_series(filt, cache.operator(level), obs_j.coeffs, a)
         solutions.append(embed_vector(L2Vector(obs_j.grid, x_j), op.grid))
         levels.append(level)
@@ -335,12 +331,8 @@ def data_driven_choose(
     if delta_hat <= 0.0:
         delta_hat = 1e-12
         flags.append("delta_hat_floor")
-    if isinstance(raw_data, LevelData):
-        obs_fine = raw_data.fine
-    else:
-        obs_fine = raw_data(op.n)
     cfg = lep_cfg_template.with_delta(delta_hat)
-    result = lepskii_choose(op, obs_fine, cfg, sched, source=source, cache=cache)
+    result = lepskii_choose(op, raw_data, cfg, sched, source=source, cache=cache)
     if not estimate.converged:
         result.flags.append("estimator_not_converged")
     result.flags.extend(flags)

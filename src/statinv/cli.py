@@ -7,6 +7,9 @@ estimate-noise  run the noise-level pipeline and print the estimate
 choose          run one parameter-choice method on a single realization
 converge        run the configured Monte Carlo study and write its CSV
 
+simulate, estimate-noise and choose act on realization (0, 0): the first
+replicate at the first delta of delta_list, the one ``converge`` draws first.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (for
 example the discrepancy principle applied to white noise).
 """
@@ -18,24 +21,19 @@ import sys
 
 import numpy as np
 
-from .choice import LevelSolverCache
-from .discretization import LevelData
 from .errors import ConfigError, DataUnavailableError, WhiteNoiseError
 from .harness import (
     METHODS,
     ExperimentConfig,
-    build_noise_spec,
-    build_operator,
-    build_signal,
+    build_study,
     choose,
-    effective_schedule,
     parse_config,
     run_mse_study,
     run_veto_study,
     write_mse_csv,
     write_veto_csv,
 )
-from .noise import observation_to_csv, observe
+from .noise import observation_to_csv
 from .noise_level import refine_delta_hat
 
 __all__ = ["main"]
@@ -74,62 +72,46 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _single_observation(cfg: ExperimentConfig):
-    op = build_operator(cfg)
-    x_true = build_signal(cfg, op)
-    spec = build_noise_spec(cfg, op.grid)
-    delta = cfg.delta_list[0]
-    return op, x_true, observe(op, x_true, delta, spec, replicate=(0, 0))
-
-
 def _cmd_simulate(cfg: ExperimentConfig) -> int:
     if cfg.out is None:
         raise ConfigError("simulate needs an output path (--out or 'out' in the config)")
-    _, _, obs = _single_observation(cfg)
+    obs = build_study(cfg).realization(0, 0).fine
     observation_to_csv(obs, cfg.out)
     print(f"wrote observation (n={obs.n}, delta={obs.delta:g}) to {cfg.out}")
     return 0
 
 
 def _cmd_estimate_noise(cfg: ExperimentConfig) -> int:
-    op, _, obs = _single_observation(cfg)
-    sched = effective_schedule(cfg, op)
+    study = build_study(cfg)
+    data = study.realization(0, 0)
     est = cfg.estimator
     result = refine_delta_hat(
-        op, LevelData(obs), tau=est.tau, p=est.p, eps=est.eps,
-        m_window=est.m_window, sched=sched, n0=est.n0,
+        study.op, data, tau=est.tau, p=est.p, eps=est.eps,
+        m_window=est.m_window, sched=study.sched, n0=est.n0,
     )
     print(f"delta_tilde_sq = {result.delta_tilde_sq:.17g}")
     print(f"delta_hat      = {result.delta_hat:.17g}")
     print(f"n_used         = {result.n_used}")
     print(f"iterations     = {result.iterations}")
     print(f"converged      = {result.converged}")
-    print(f"true delta     = {obs.delta:.17g}")
+    print(f"true delta     = {data.fine.delta:.17g}")
     return 0
 
 
 def _write_choice_row(path, delta, delta_hat, j_star, alpha_star, error, flags):
+    cells = [format(delta, ".17g"), "" if delta_hat is None else format(delta_hat, ".17g")]
+    cells += ["" if j_star is None else str(j_star), format(alpha_star, ".17g")]
+    cells += [format(error, ".17g"), ";".join(flags)]
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("delta,delta_hat,j_star,alpha_star,error,flags\n")
-        fh.write(
-            ",".join(
-                [
-                    format(delta, ".17g"),
-                    format(delta_hat, ".17g") if delta_hat is not None else "",
-                    str(j_star) if j_star is not None else "",
-                    format(alpha_star, ".17g"),
-                    format(error, ".17g"),
-                    ";".join(flags),
-                ]
-            )
-            + "\n"
-        )
+        fh.write("delta,delta_hat,j_star,alpha_star,error,flags\n" + ",".join(cells) + "\n")
 
 
 def _cmd_choose(cfg: ExperimentConfig) -> int:
-    op, x_true, obs = _single_observation(cfg)
-    chosen = choose(cfg, cfg.method, op, x_true, obs, effective_schedule(cfg, op), LevelSolverCache(op))
-    err = float(np.linalg.norm(chosen.x.coeffs - x_true.coeffs))
+    study = build_study(cfg)
+    data = study.realization(0, 0)
+    obs = data.fine
+    chosen = choose(study, cfg.method, data)
+    err = float(np.linalg.norm(chosen.x.coeffs - study.x_true.coeffs))
     print(f"method = {cfg.method}")
     if chosen.delta_hat is not None:
         print(f"delta_hat = {chosen.delta_hat:.17g} (true {obs.delta:.17g})")

@@ -12,6 +12,7 @@ recovers the pure alpha-coupled rule as a special case.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "LevelSchedule",
     "n_of",
     "nested_level",
+    "ladder_gap",
     "project",
     "project_vector",
     "embed_vector",
@@ -113,6 +115,18 @@ def nested_level(n_requested: int, n_fine: int) -> int:
     return n_fine
 
 
+def ladder_gap(n_fine: int) -> tuple[int, int] | None:
+    """First pair of consecutive divisors of ``n_fine`` more than 2x apart, if any.
+
+    Without such a gap ``nested_level`` rounds every request up by less than
+    a factor 2, the step of the estimator's and the alpha grid's levels; a
+    prime n (1 -> n) or n = 2p (2 -> p) has one.
+    """
+    small = [d for d in range(1, math.isqrt(n_fine) + 1) if n_fine % d == 0]
+    divisors = sorted(set(small + [n_fine // d for d in small]))
+    return next(((a, b) for a, b in zip(divisors, divisors[1:]) if b > 2 * a), None)
+
+
 def _block_sums(v: np.ndarray, n_coarse: int) -> np.ndarray:
     block = v.shape[0] // n_coarse
     return np.add.reduceat(v, np.arange(0, v.shape[0], block))
@@ -173,10 +187,8 @@ def project_operator(op_fine: DiscreteOperator, n_coarse: int) -> DiscreteOperat
         raise ValueError(f"grids not nested: {n_coarse} does not divide {n_fine}")
     if n_coarse == n_fine:
         return op_fine
-    idx = np.arange(0, n_fine, n_fine // n_coarse)
-    # one expression, so the n_coarse x n_fine row sums are freed before the
-    # coarse operator factors its matrix
-    m = np.add.reduceat(np.add.reduceat(op_fine.matrix, idx, axis=0), idx, axis=1)
+    block = n_fine // n_coarse
+    m = op_fine.matrix.reshape(n_coarse, block, n_coarse, block).sum(axis=(1, 3))
     m *= n_coarse / n_fine
     return DiscreteOperator(Grid(n_coarse), m, holder_s=op_fine.holder_s, factor=op_fine.factor)
 

@@ -24,7 +24,7 @@ from .choice import (
     lepskii_choose,
     oracle_choice,
 )
-from .discretization import LevelData, LevelSchedule
+from .discretization import LevelData, LevelSchedule, ladder_gap
 from .errors import ConfigError
 from .filters import Filter, regularize_svd, spectral_series, tikhonov, variance_bound
 from .grid import Grid, L2Vector
@@ -40,6 +40,8 @@ __all__ = [
     "BiasVarianceReport",
     "METHODS",
     "Choice",
+    "Study",
+    "build_study",
     "choose",
     "effective_schedule",
     "parse_config",
@@ -92,9 +94,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown operator.kind {self.operator_kind!r}")
         if self.operator_n < 2:
             raise ConfigError("operator.n must be >= 2")
-        if all(self.operator_n % d for d in range(2, math.isqrt(self.operator_n) + 1)):
-            # nested levels are the divisors of n: a prime n leaves only 1 and n
-            raise ConfigError(f"operator.n must not be prime, got {self.operator_n}")
+        gap = ladder_gap(self.operator_n)
+        if gap is not None:
+            # nested levels are the divisors of n: a gap collapses every level inside it
+            raise ConfigError(
+                f"operator.n = {self.operator_n} has no level between its divisors "
+                f"{gap[0]} and {gap[1]}; divisors must at most double"
+            )
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.study not in ("mse", "veto"):
@@ -267,27 +273,49 @@ def _summarize(delta, method, x_true, chosen, epsilons) -> MseRow:
     )
 
 
+@dataclass(frozen=True)
+class Study:
+    """What one study fixes before its first replicate: operator, signal,
+    exact data ``T x_true``, level schedule, noise spec and level cache."""
+
+    cfg: ExperimentConfig
+    op: DiscreteOperator
+    x_true: L2Vector
+    y_exact: L2Vector
+    sched: LevelSchedule
+    spec: NoiseSpec
+    cache: LevelSolverCache
+
+    def realization(self, di: int, rep: int) -> LevelData:
+        """Replicate ``rep`` at ``delta_list[di]``, drawn once and projected once per level."""
+        delta = self.cfg.delta_list[di]
+        return LevelData(
+            observe(self.op, self.x_true, delta, self.spec, replicate=(di, rep), y_exact=self.y_exact)
+        )
+
+
+def build_study(cfg: ExperimentConfig) -> Study:
+    op = build_operator(cfg)
+    x_true = build_signal(cfg, op)
+    sched, spec = effective_schedule(cfg, op), build_noise_spec(cfg, op.grid)
+    return Study(cfg, op, x_true, apply(op, x_true), sched, spec, LevelSolverCache(op))
+
+
 def run_study(cfg: ExperimentConfig, methods: Sequence[str]):
     """Run every method in ``methods`` on the same realizations along delta_list.
 
-    Builds the operator, signal, exact data, schedule, noise spec and level
-    cache once; each replicate is drawn once and handed to every method through
-    ``choose``.  Yields ``(delta, x_true, choices)`` per delta, where
-    ``choices[method]`` holds that method's ``Choice`` per replicate.
+    Each replicate is drawn once by ``Study.realization`` and handed to every
+    method through ``choose``.  Yields ``(delta, x_true, choices)`` per delta,
+    where ``choices[method]`` holds that method's ``Choice`` per replicate.
     """
-    op = build_operator(cfg)
-    x_true = build_signal(cfg, op)
-    sched = effective_schedule(cfg, op)
-    spec = build_noise_spec(cfg, op.grid)
-    cache = LevelSolverCache(op)
-    y_exact = apply(op, x_true)
+    study = build_study(cfg)
     for di, delta in enumerate(cfg.delta_list):
         choices = {method: [] for method in methods}
         for rep in range(cfg.replicates):
-            obs = observe(op, x_true, delta, spec, replicate=(di, rep), y_exact=y_exact)
+            data = study.realization(di, rep)
             for method in methods:
-                choices[method].append(choose(cfg, method, op, x_true, obs, sched, cache))
-        yield delta, x_true, choices
+                choices[method].append(choose(study, method, data))
+        yield delta, study.x_true, choices
 
 
 def run_mse_study(cfg: ExperimentConfig) -> list:
@@ -324,11 +352,12 @@ class Choice:
     best_error: Optional[float] = None
 
 
-def choose(cfg, method, op, x_true, obs, sched, cache) -> Choice:
-    """Run ``method`` on ``obs``; the one dispatch over ``METHODS``.
+def choose(study: Study, method: str, data: LevelData) -> Choice:
+    """Run ``method`` on one realization of ``study``; the one dispatch over ``METHODS``.
 
-    ``x_true`` is read by the oracle and for the Lepskii ``best_error``.
+    ``study.x_true`` is read by the oracle and for the Lepskii ``best_error``.
     """
+    cfg, op, x_true, obs = study.cfg, study.op, study.x_true, data.fine
     template = LepskiiConfig(
         q=cfg.lepskii_q, C_psi=cfg.lepskii_c_psi, max_alpha=op.norm**2, delta_input=obs.delta
     )
@@ -347,10 +376,10 @@ def choose(cfg, method, op, x_true, obs, sched, cache) -> Choice:
         )
     delta_hat = None
     if method == "lepskii_known_delta":
-        lep = lepskii_choose(op, obs, template, sched, cache=cache)
+        lep = lepskii_choose(op, data, template, study.sched, cache=study.cache)
     elif method == "lepskii_estimated_delta":
         estimate, lep, _ = data_driven_choose(
-            op, LevelData(obs), cfg.estimator, template, sched, cache=cache
+            op, data, cfg.estimator, template, study.sched, cache=study.cache
         )
         delta_hat = estimate.delta_hat
     else:
@@ -475,14 +504,8 @@ def write_mse_csv(rows: Sequence[MseRow], path) -> None:
         header += "".join(f",exceed_{format(e, 'g')}" for e in eps_keys)
         fh.write(header + "\n")
         for row in rows:
-            cells = [
-                _fmt(row.delta),
-                row.method,
-                _fmt(row.mc_mse),
-                _fmt(row.mc_bias_sq),
-                _fmt(row.mc_variance),
-                str(row.rep_count),
-            ]
+            cells = [_fmt(row.delta), row.method, _fmt(row.mc_mse), _fmt(row.mc_bias_sq)]
+            cells += [_fmt(row.mc_variance), str(row.rep_count)]
             cells += [_fmt(row.exceed_rate[e]) for e in eps_keys]
             fh.write(",".join(cells) + "\n")
 
@@ -491,18 +514,6 @@ def write_veto_csv(rows: Sequence[VetoRow], path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("delta,mse_known,mse_estimated,ratio,hit_rate,mse_oracle,m,rep_count\n")
         for row in rows:
-            fh.write(
-                ",".join(
-                    [
-                        _fmt(row.delta),
-                        _fmt(row.mse_known),
-                        _fmt(row.mse_estimated),
-                        _fmt(row.ratio),
-                        _fmt(row.hit_rate),
-                        _fmt(row.mse_oracle),
-                        str(row.m),
-                        str(row.rep_count),
-                    ]
-                )
-                + "\n"
-            )
+            floats = [row.delta, row.mse_known, row.mse_estimated, row.ratio]
+            floats += [row.hit_rate, row.mse_oracle]
+            fh.write(",".join([_fmt(v) for v in floats] + [str(row.m), str(row.rep_count)]) + "\n")

@@ -196,7 +196,7 @@ def test_discrepancy_noiseless_is_above_oracle(op256):
 def test_lepskii_zero_data_accepts_everything(op256):
     obs = _noiseless_obs(op256, L2Vector(op256.grid, np.zeros(256)), 0.01)
     cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op256.norm**2, delta_input=0.01)
-    result = lepskii_choose(op256, obs, cfg, SCHED)
+    result = lepskii_choose(op256, LevelData(obs), cfg, SCHED)
     assert result.j_star == result.m
     assert result.accepted_is_prefix
     assert result.accepted == list(range(1, result.m + 1))
@@ -206,7 +206,7 @@ def test_lepskii_noiseless_picks_interior_index(op1024):
     x = make_signal("source", op1024.grid, op=op1024, nu=1.0, amplitude=10.0)
     obs = _noiseless_obs(op1024, x, 1e-6)
     cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2, delta_input=1e-6)
-    result = lepskii_choose(op1024, obs, cfg, SCHED)
+    result = lepskii_choose(op1024, LevelData(obs), cfg, SCHED)
     assert result.j_star >= 1
 
 
@@ -215,7 +215,7 @@ def test_lepskii_diagnostics(op1024):
     obs = _white_obs(op1024, x, 0.02, seed=3)
     cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2, delta_input=0.02)
     source = SourceCondition.holder(nu=1.0, radius=10.0)
-    result = lepskii_choose(op1024, obs, cfg, SCHED, source=source)
+    result = lepskii_choose(op1024, LevelData(obs), cfg, SCHED, source=source)
     psi = np.array([c[2] for c in result.candidates])
     assert np.all(np.diff(psi) < 0)  # Psi decreasing in j
     assert result.accepted_is_prefix  # accepted set is a down-set
@@ -230,7 +230,7 @@ def test_lepskii_degenerate_flag(op256):
     x = make_signal("smooth", op256.grid)
     obs = _white_obs(op256, x, 0.05, seed=5)
     cfg = LepskiiConfig(q=2.0, C_psi=1e-12, max_alpha=op256.norm**2, delta_input=0.05)
-    result = lepskii_choose(op256, obs, cfg, SCHED)
+    result = lepskii_choose(op256, LevelData(obs), cfg, SCHED)
     assert result.j_star == 0
     assert "lepskii_degenerate" in result.flags
     assert result.alpha_star == pytest.approx(cfg.alpha0)
@@ -242,7 +242,7 @@ def test_lepskii_candidates_match_normal_equations(op256):
     obs = _white_obs(op256, x, 0.05, seed=13)
     cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op256.norm**2, delta_input=0.05)
     cache = LevelSolverCache(op256)
-    result = lepskii_choose(op256, obs, cfg, SCHED, cache=cache)
+    result = lepskii_choose(op256, LevelData(obs), cfg, SCHED, cache=cache)
     from statinv.discretization import embed_vector, nested_level, project
     from statinv import n_of
 
@@ -265,7 +265,9 @@ def test_data_driven_reduces_to_lepskii(op1024):
     estimate, lep, x_final = data_driven_choose(op1024, data, est_cfg, template, SCHED, cache=cache)
     # feeding the produced estimate back through the known-level rule gives
     # the identical choice: the pipeline is exactly estimate-then-balance
-    again = lepskii_choose(op1024, obs, template.with_delta(estimate.delta_hat), SCHED, cache=cache)
+    again = lepskii_choose(
+        op1024, LevelData(obs), template.with_delta(estimate.delta_hat), SCHED, cache=cache
+    )
     assert again.j_star == lep.j_star
     assert np.array_equal(again.x_star.coeffs, x_final.coeffs)
 
@@ -290,7 +292,7 @@ def test_data_driven_error_close_to_known_delta(op1024):
     obs = _white_obs(op1024, x, delta, seed=29)
     cache = LevelSolverCache(op1024)
     template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2, delta_input=delta)
-    known = lepskii_choose(op1024, obs, template, SCHED, cache=cache)
+    known = lepskii_choose(op1024, LevelData(obs), template, SCHED, cache=cache)
     err_known = np.linalg.norm(known.x_star.coeffs - x.coeffs)
     _, _, x_final = data_driven_choose(
         op1024, LevelData(obs), EstimatorConfig(), template, SCHED, cache=cache

@@ -1,19 +1,8 @@
 import pytest
 
-from statinv.choice import LevelSolverCache
 from statinv.cli import main
 from statinv.errors import ConfigError
-from statinv.harness import (
-    METHODS,
-    build_noise_spec,
-    build_operator,
-    build_signal,
-    choose,
-    config_from_mapping,
-    effective_schedule,
-    parse_config,
-)
-from statinv.noise import observe
+from statinv.harness import METHODS, build_study, choose, config_from_mapping, parse_config
 
 BASE_CFG = """
 operator.kind = integration
@@ -118,11 +107,9 @@ def test_harness_and_cli_choose_same_alpha(tmp_path, capsys, method):
     capsys.readouterr()
     cli_alpha = float(out.read_text().splitlines()[1].split(",")[3])
     cfg = parse_config(path)
-    op = build_operator(cfg)
-    x_true = build_signal(cfg, op)
+    study = build_study(cfg)
     # the first replicate of the first delta, as in run_mse_study
-    obs = observe(op, x_true, cfg.delta_list[0], build_noise_spec(cfg, op.grid), replicate=(0, 0))
-    chosen = choose(cfg, cfg.method, op, x_true, obs, effective_schedule(cfg, op), LevelSolverCache(op))
+    chosen = choose(study, cfg.method, study.realization(0, 0))
     assert chosen.alpha == cli_alpha
 
 
@@ -146,8 +133,22 @@ def test_prime_operator_n_exits_2(tmp_path, capsys):
         config_from_mapping({"operator.n": "1021"})
     cfg = _cfg_file(tmp_path, extra="operator.n = 61\n")
     assert main(["converge", "--config", cfg, "--out", str(tmp_path / "rows.csv")]) == 2
-    assert "operator.n must not be prime, got 61" in capsys.readouterr().err
+    assert "operator.n = 61 has no level between its divisors 1 and 61" in capsys.readouterr().err
     assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("n, gap", [(1018, "2 and 509"), (1022, "2 and 7")])
+def test_twice_prime_operator_n_exits_2(tmp_path, capsys, n, gap):
+    # n = 2p would put every level below n/2 on the single level p
+    cfg = _cfg_file(tmp_path, extra=f"operator.n = {n}\n")
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "rows.csv")]) == 2
+    assert f"operator.n = {n} has no level between its divisors {gap}" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("n", [64, 96, 100, 256, 512, 1000, 1024, 2048])
+def test_operator_n_with_a_dense_divisor_ladder_is_accepted(n):
+    assert config_from_mapping({"operator.n": str(n)}).operator_n == n
 
 
 def test_estimate_noise(tmp_path, capsys):

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import statinv.discretization
 import statinv.harness
 import statinv.noise
 from statinv import (
@@ -10,6 +13,7 @@ from statinv import (
     Grid,
     L2Vector,
     LepskiiConfig,
+    LevelData,
     LevelSchedule,
     build_integration_operator,
     parse_config,
@@ -188,6 +192,36 @@ def test_studies_observe_once_per_replicate(monkeypatch, study, method):
     assert calls == [(di, rep) for di in range(3) for rep in range(4)]
 
 
+def test_veto_study_projects_each_realization_level_once(monkeypatch):
+    # both pipelines and the estimator read one LevelData per replicate
+    calls = []
+    real_project = statinv.discretization.project
+
+    def counting_project(obs, n_coarse):
+        calls.append((obs.seed_used, n_coarse))
+        return real_project(obs, n_coarse)
+
+    # every module that bound the name, as a per-layer trace would count it
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("statinv"):
+            if getattr(module, "project", None) is real_project:
+                monkeypatch.setattr(module, "project", counting_project)
+    cfg = ExperimentConfig(
+        operator_n=64,
+        signal_kind="source",
+        signal_amplitude=10.0,
+        delta_list=(0.1, 0.05),
+        replicates=3,
+        seed=3,
+        method="lepskii_estimated_delta",
+        study="veto",
+        schedule=LevelSchedule(c2=0.0, n_max=64),
+    )
+    run_veto_study(cfg)
+    assert len(calls) == len(set(calls))
+    assert len({key for key, _ in calls}) == len(cfg.delta_list) * cfg.replicates
+
+
 def test_study_applies_the_operator_once(monkeypatch):
     # T x_true is fixed for the whole study: computed once, not per replicate
     applied = []
@@ -242,7 +276,7 @@ def test_run_study_pairs_methods_on_one_realization():
                 assert c.best_error <= np.linalg.norm(x_true.coeffs - c.x.coeffs)
                 obs = observe(op, x_true, delta, spec, replicate=(di, rep))
                 lep_cfg = template if c.delta_hat is None else template.with_delta(c.delta_hat)
-                fresh = lepskii_choose(op, obs, lep_cfg, sched)
+                fresh = lepskii_choose(op, LevelData(obs), lep_cfg, sched)
                 assert np.array_equal(fresh.x_star.coeffs, c.x.coeffs)
                 assert c.best_error == min(
                     np.linalg.norm(x_true.coeffs - x.coeffs) for x in fresh.solutions
