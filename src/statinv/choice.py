@@ -14,28 +14,30 @@ purely data driven.
 Candidates are Tikhonov solutions at level n(alpha_j, delta), computed as
 the spectral series of the level operator from its cached SVD, so that all
 alphas and replicates reuse the factorization made when the level is built.
-The level data come from the caller's data source (a :class:`LevelData` of
-one realization), so the known-delta and the estimated-delta pipelines, and
-the noise-level estimator, read the same projected observations.
+The balancing rule runs on a batch of R data rows at once (a
+:class:`LevelData`; one realization is R = 1), so the known-delta and the
+estimated-delta pipelines, and the noise-level estimator, read the same
+projected observations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .discretization import LevelSchedule, embed_vector, n_of, project_operator
+from .discretization import LevelData, LevelSchedule, embed_vector, n_of, project_operator
 from .errors import WhiteNoiseError, require_finite
-from .filters import Filter, filter_value, regularize_svd, spectral_series, tikhonov
-from .grid import L2Vector
+from .filters import Filter, filter_value, regularize_svd
+from .grid import Grid, L2Vector
 from .noise import Observation
 from .noise_level import EstimatorConfig, NoiseEstimate, refine_delta_hat
 from .operators import DiscreteOperator, SourceCondition
 
 __all__ = [
     "LepskiiConfig",
+    "LepskiiRow",
     "LepskiiResult",
     "DiscrepancyResult",
     "LevelSolverCache",
@@ -97,27 +99,93 @@ class LepskiiConfig:
         return replace(self, delta_input=delta_input)
 
 
+# Entries of the fine-grid differences that LepskiiResult.errors holds at once.
+_CHUNK = 2**16
+
+
 @dataclass
-class LepskiiResult:
-    """Chosen index and the full candidate diagnostics."""
+class LepskiiRow:
+    """Chosen index and candidate diagnostics for one data row.
+
+    Candidate j is the Tikhonov solution at ``alphas[j]`` on its own level
+    ``levels[j]``; ``coeffs[j]`` holds it there and ``solutions[j]`` embeds it
+    in the fine grid, as ``x_star`` does for the chosen one.
+    """
 
     j_star: int
     alpha_star: float
-    candidates: list  # (alpha_j, ||x_j||, Psi(j)) per candidate
-    accepted_pairs_checked: int
     m: int
     kappa: float
+    alphas: np.ndarray
+    psi: np.ndarray
     levels: list
-    solutions: list  # candidate solutions embedded in the fine grid
+    coeffs: list
     accepted: list
+    accepted_pairs_checked: int
     accepted_is_prefix: bool
+    x_star: L2Vector
     flags: list = field(default_factory=list)
     alpha_check: Optional[float] = None
     j_check: Optional[int] = None
 
     @property
-    def x_star(self) -> L2Vector:
-        return self.solutions[self.j_star]
+    def solutions(self) -> list:
+        grid = self.x_star.grid
+        return [embed_vector(L2Vector(Grid(c.size), c), grid) for c in self.coeffs]
+
+    @property
+    def candidates(self) -> list:
+        """(alpha_j, ||x_j||, Psi(j)) per candidate."""
+        norms = [float(np.linalg.norm(c)) for c in self.coeffs]
+        return [(float(a), x, float(p)) for a, x, p in zip(self.alphas, norms, self.psi)]
+
+
+@dataclass
+class LepskiiResult:
+    """Balancing choices for the R rows of one data batch; row i is ``result[i]``.
+
+    ``levels`` (one entry per candidate), ``flags`` and the total
+    ``accepted_pairs_checked`` run over all rows.  ``blocks`` holds the
+    candidates level by level: ``(level, rows, indices, coeffs)``, with
+    ``coeffs[k]`` candidate ``indices[k]`` of row ``rows[k]``.
+    """
+
+    rows: list
+    blocks: list
+
+    def __getitem__(self, i: int) -> LepskiiRow:
+        return self.rows[i]
+
+    @property
+    def levels(self) -> list:
+        return [level for row in self.rows for level in row.levels]
+
+    @property
+    def flags(self) -> list:
+        return [flag for row in self.rows for flag in row.flags]
+
+    @property
+    def accepted_pairs_checked(self) -> int:
+        return sum(row.accepted_pairs_checked for row in self.rows)
+
+    def errors(self, x_true: L2Vector) -> np.ndarray:
+        """||x_true - x_j|| per row and candidate, (R, M); inf past a row's last one.
+
+        Each candidate is embedded from its own level as ``embed_vector``
+        does, and its distance is the 1-D norm's dot product, so every entry
+        is bit-equal to ``np.linalg.norm(x_true.coeffs - solutions[j].coeffs)``.
+        """
+        n = x_true.grid.n_cells
+        out = np.full((len(self.rows), max(row.m for row in self.rows) + 1), np.inf)
+        step = max(1, _CHUNK // n)
+        for level, ii, jj, x in self.blocks:
+            scale = np.sqrt(level / n)
+            for k in range(0, ii.size, step):
+                d = np.repeat(x[k : k + step], n // level, axis=1)
+                d *= scale
+                np.subtract(x_true.coeffs, d, out=d)
+                out[ii[k : k + step], jj[k : k + step]] = np.sqrt(np.vecdot(d, d))
+        return out
 
 
 class LevelSolverCache:
@@ -211,20 +279,62 @@ def discrepancy_principle(
     )
 
 
+@dataclass
+class _Ladder:
+    """Alpha grid, candidate levels, Psi and acceptance band of one Lepskii config."""
+
+    m: int
+    kappa: float
+    alphas: np.ndarray
+    levels: list
+    psi: np.ndarray
+    band: np.ndarray
+    psi_flags: list
+    source_flags: list
+    alpha_check: Optional[float]
+    j_check: Optional[int]
+
+    @classmethod
+    def build(cls, cfg: LepskiiConfig, data: LevelData, sched: LevelSchedule, source) -> "_Ladder":
+        delta, alphas, kappa = cfg.delta_input, cfg.alphas, cfg.kappa
+        levels = [data.level(n_of(a, delta, sched)) for a in alphas]
+        psi = cfg.C_psi * np.sqrt(np.array(levels) / (4.0 * alphas))
+        psi_flags = ["psi_not_decreasing"] if np.any(np.diff(psi) >= 0) else []
+        source_flags = []
+        alpha_check = None
+        j_check = None
+        if source is not None:
+            phi_vals = np.array([source.radius * source.phi(a) for a in alphas])
+            if np.any(np.diff(phi_vals) <= 0):
+                source_flags.append("phi_not_increasing")
+            feasible = np.nonzero(phi_vals <= delta * psi)[0]
+            j_check = int(feasible.max()) if feasible.size else 0
+            alpha_check = float(alphas[j_check])
+            if phi_vals[0] > delta * psi[0]:
+                source_flags.append("side_condition_violated")
+        band = 4.0 * kappa * delta * psi
+        return cls(
+            alphas.size - 1, kappa, alphas, levels, psi, band, psi_flags, source_flags,
+            alpha_check, j_check,
+        )
+
+
 def lepskii_choose(
     op: DiscreteOperator,
-    data: Callable[[int], Observation],
-    cfg: LepskiiConfig,
+    data: LevelData,
+    cfg: Union[LepskiiConfig, Sequence[LepskiiConfig]],
     sched: LevelSchedule,
     source: Optional[SourceCondition] = None,
     cache: Optional[LevelSolverCache] = None,
 ) -> LepskiiResult:
-    """Balancing choice over the geometric grid with per-candidate levels.
+    """Balancing choice over the geometric grid with per-candidate levels, for a batch.
 
-    ``data`` maps a requested level to the observation there, rounded up to
-    a nested level, as :class:`LevelData` does for one realization; candidate
-    j reads its data as ``data(n(alpha_j, delta))``.  Pairwise distances are
-    taken after isometric embedding into the fine grid.  When a source
+    ``data`` holds R data rows; ``cfg`` is one config per row, or one for all
+    of them.  Candidate j of a row reads its data at level
+    ``n(alpha_j, delta)``, rounded up to a nested level by ``data``.  All
+    candidates of one level are computed in one product from one U^T y per
+    row, and the pairwise distances are taken after isometric embedding into
+    the grid of L cells, L the lcm of the candidate levels.  When a source
     condition is supplied, the observable-vs-bias balance diagnostic
     alpha_check = max{j: Phi(j) <= delta Psi(j)} is reported as well, with
     Phi(j) = radius * phi(alpha_j).
@@ -233,107 +343,125 @@ def lepskii_choose(
         cache = LevelSolverCache(op)
     elif cache.op_fine is not op:
         raise ValueError("cache was built for a different operator")
-    delta = cfg.delta_input
-    alphas = cfg.alphas
-    m = cfg.m
-    kappa = cfg.kappa
-    filt = tikhonov()
-    flags = []
+    rows = data.rows
+    cfgs = [cfg] * rows if isinstance(cfg, LepskiiConfig) else list(cfg)
+    if len(cfgs) != rows:
+        raise ValueError(f"{len(cfgs)} Lepskii configs for {rows} data rows")
 
-    levels = []
-    solutions = []
-    psi = np.empty(m + 1)
-    for j, a in enumerate(alphas):
-        obs_j = data(n_of(a, delta, sched))
-        level = obs_j.n
-        x_j = spectral_series(filt, cache.operator(level), obs_j.coeffs, a)
-        solutions.append(embed_vector(L2Vector(obs_j.grid, x_j), op.grid))
-        levels.append(level)
-        psi[j] = cfg.C_psi * np.sqrt(level / (4.0 * a))
-    if np.any(np.diff(psi) >= 0):
-        flags.append("psi_not_decreasing")
+    ladders = {}  # one per distinct config
+    for c in cfgs:
+        if id(c) not in ladders:
+            ladders[id(c)] = _Ladder.build(c, data, sched, source)
+    row_ladders = [ladders[id(c)] for c in cfgs]
+    width = max(lad.m for lad in row_ladders) + 1
+    alphas = np.ones((rows, width))
+    levels = np.zeros((rows, width), dtype=int)
+    band = np.full((rows, width), np.nan)
+    for i, lad in enumerate(row_ladders):
+        size = lad.m + 1
+        alphas[i, :size], levels[i, :size], band[i, :size] = lad.alphas, lad.levels, lad.band
+    m = np.array([lad.m for lad in row_ladders])
 
-    band = 4.0 * kappa * delta * psi
-    coeff_mat = np.stack([x.coeffs for x in solutions])
-    accepted = []
-    pairs_checked = 0
-    for j in range(1, m + 1):
-        ok = True
+    # candidates: one U^T y per (batch, level), one product per level
+    present = [int(v) for v in np.unique(levels[levels > 0])]
+    cells = int(np.lcm.reduce(present))
+    embedded = np.zeros((rows, width, cells))
+    blocks = []
+    coeffs = [[None] * (lad.m + 1) for lad in row_ladders]
+    for level in present:
+        ii, jj = np.nonzero(levels == level)
+        need, pos = np.unique(ii, return_inverse=True)
+        lop = cache.operator(level)
+        r = lop.rank
+        s = lop.s[:r]
+        y = data(level).coeffs.reshape(rows, level)[need]
+        # stacked products: each row bit-equal to spectral_series' u.T @ y and vt.T @ w
+        uty = (y[:, None, :] @ lop.u[:, :r])[:, 0]
+        w = 1.0 / (alphas[ii, jj][:, None] + s**2) * s * uty[pos]
+        x = (w[:, None, :] @ lop.vt[:r])[:, 0]
+        if not np.all(np.isfinite(x)):
+            raise ValueError("coefficients must be finite")
+        embedded[ii, jj] = np.repeat(x, cells // level, axis=1) * np.sqrt(level / cells)
+        blocks.append((level, ii, jj, x))
+        for k, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
+            coeffs[i][j] = x[k]
+
+    # acceptance of j against k = 0, 1, ... for all rows at once; a row stops
+    # checking j at its first failing k, as the scalar rule does
+    accepted = np.zeros((rows, width), dtype=bool)
+    pairs = np.zeros(rows, dtype=int)
+    for j in range(1, width):
+        checking = j <= m
         for k in range(j):
-            pairs_checked += 1
-            if np.linalg.norm(coeff_mat[k] - coeff_mat[j]) > band[k]:
-                ok = False
-                break
-        if ok:
-            accepted.append(j)
-    if accepted:
-        j_star = max(accepted)
-    else:
-        j_star = 0
-        flags.append("lepskii_degenerate")
-    accepted_is_prefix = accepted == list(range(1, j_star + 1))
+            pairs += checking
+            diff = embedded[:, k] - embedded[:, j]
+            checking &= ~(np.sqrt(np.vecdot(diff, diff)) > band[:, k])
+        accepted[:, j] = checking
 
-    alpha_check = None
-    j_check = None
-    if source is not None:
-        phi_vals = np.array([source.radius * source.phi(a) for a in alphas])
-        if np.any(np.diff(phi_vals) <= 0):
-            flags.append("phi_not_increasing")
-        feasible = np.nonzero(phi_vals <= delta * psi)[0]
-        j_check = int(feasible.max()) if feasible.size else 0
-        alpha_check = float(alphas[j_check])
-        if phi_vals[0] > delta * psi[0]:
-            flags.append("side_condition_violated")
-
-    return LepskiiResult(
-        j_star=int(j_star),
-        alpha_star=float(alphas[j_star]),
-        candidates=[(float(alphas[j]), solutions[j].norm(), float(psi[j])) for j in range(m + 1)],
-        accepted_pairs_checked=pairs_checked,
-        m=m,
-        kappa=kappa,
-        levels=levels,
-        solutions=solutions,
-        accepted=accepted,
-        accepted_is_prefix=accepted_is_prefix,
-        flags=flags,
-        alpha_check=alpha_check,
-        j_check=j_check,
-    )
+    result_rows = []
+    for i, lad in enumerate(row_ladders):
+        acc = [int(j) for j in np.flatnonzero(accepted[i])]
+        j_star = acc[-1] if acc else 0
+        flags = lad.psi_flags + ([] if acc else ["lepskii_degenerate"]) + lad.source_flags
+        level = lad.levels[j_star]
+        result_rows.append(
+            LepskiiRow(
+                j_star=j_star,
+                alpha_star=float(lad.alphas[j_star]),
+                m=lad.m,
+                kappa=lad.kappa,
+                alphas=lad.alphas,
+                psi=lad.psi,
+                levels=lad.levels,
+                coeffs=coeffs[i],
+                accepted=acc,
+                accepted_pairs_checked=int(pairs[i]),
+                accepted_is_prefix=acc == list(range(1, j_star + 1)),
+                x_star=embed_vector(L2Vector(Grid(level), coeffs[i][j_star]), op.grid),
+                flags=flags,
+                alpha_check=lad.alpha_check,
+                j_check=lad.j_check,
+            )
+        )
+    return LepskiiResult(rows=result_rows, blocks=blocks)
 
 
 def data_driven_choose(
     op: DiscreteOperator,
-    raw_data: Callable[[int], Observation],
+    raw_data: LevelData,
     est_cfg: EstimatorConfig,
     lep_cfg_template: LepskiiConfig,
     sched: LevelSchedule,
     source: Optional[SourceCondition] = None,
     cache: Optional[LevelSolverCache] = None,
-) -> Tuple[NoiseEstimate, LepskiiResult, L2Vector]:
-    """Fully data-driven pipeline: estimate delta_hat, then balance with it.
+) -> Tuple[list, LepskiiResult, list]:
+    """Fully data-driven pipeline: estimate delta_hat per row, then balance with it.
 
-    Returns the estimate, the Lepskii diagnostics, and the last accepted
-    candidate solution.  A non-converged estimate is flagged but still used.
+    Each row's delta_hat comes from ``refine_delta_hat`` on that row alone;
+    one batched ``lepskii_choose`` call then balances every row with its own
+    estimate.  Returns the estimates, the Lepskii results and the chosen
+    solution of each row.  A non-converged estimate is flagged but still used.
     """
-    estimate = refine_delta_hat(
-        op,
-        raw_data,
-        tau=est_cfg.tau,
-        p=est_cfg.p,
-        eps=est_cfg.eps,
-        m_window=est_cfg.m_window,
-        sched=sched,
-        n0=est_cfg.n0,
-    )
-    delta_hat = estimate.delta_hat
-    flags = []
-    if delta_hat <= 0.0:
-        delta_hat = 1e-12
-        flags.append("delta_hat_floor")
-    cfg = lep_cfg_template.with_delta(delta_hat)
-    result = lepskii_choose(op, raw_data, cfg, sched, source=source, cache=cache)
-    if not estimate.converged:
-        result.flags.append("estimator_not_converged")
-    result.flags.extend(flags)
-    return estimate, result, result.x_star
+    estimates = [
+        refine_delta_hat(
+            op,
+            raw_data.row(i),
+            tau=est_cfg.tau,
+            p=est_cfg.p,
+            eps=est_cfg.eps,
+            m_window=est_cfg.m_window,
+            sched=sched,
+            n0=est_cfg.n0,
+        )
+        for i in range(raw_data.rows)
+    ]
+    # a zero estimate (constant data) is floored so that the alpha grid exists
+    deltas = [e.delta_hat if e.delta_hat > 0.0 else 1e-12 for e in estimates]
+    cfgs = [lep_cfg_template.with_delta(d) for d in deltas]
+    result = lepskii_choose(op, raw_data, cfgs, sched, source=source, cache=cache)
+    for row, estimate in zip(result.rows, estimates):
+        if not estimate.converged:
+            row.flags.append("estimator_not_converged")
+        if estimate.delta_hat <= 0.0:
+            row.flags.append("delta_hat_floor")
+    return estimates, result, [row.x_star for row in result.rows]

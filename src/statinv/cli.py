@@ -8,7 +8,8 @@ choose          run one parameter-choice method on a single realization
 converge        run the configured Monte Carlo study and write its CSV
 
 simulate, estimate-noise and choose act on realization (0, 0): the first
-replicate at the first delta of delta_list, the one ``converge`` draws first.
+replicate at the first delta of delta_list, the one ``converge`` draws first,
+drawn as a batch of one row.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (for
 example the discrepancy principle applied to white noise).
@@ -75,7 +76,7 @@ def _load_config(args) -> ExperimentConfig:
 def _cmd_simulate(cfg: ExperimentConfig) -> int:
     if cfg.out is None:
         raise ConfigError("simulate needs an output path (--out or 'out' in the config)")
-    obs = build_study(cfg).realization(0, 0).fine
+    obs = build_study(cfg).batch(0, [0]).fine.row(0)
     observation_to_csv(obs, cfg.out)
     print(f"wrote observation (n={obs.n}, delta={obs.delta:g}) to {cfg.out}")
     return 0
@@ -83,10 +84,10 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
 
 def _cmd_estimate_noise(cfg: ExperimentConfig) -> int:
     study = build_study(cfg)
-    data = study.realization(0, 0)
+    data = study.batch(0, [0])
     est = cfg.estimator
     result = refine_delta_hat(
-        study.op, data, tau=est.tau, p=est.p, eps=est.eps,
+        study.op, data.row(0), tau=est.tau, p=est.p, eps=est.eps,
         m_window=est.m_window, sched=study.sched, n0=est.n0,
     )
     print(f"delta_tilde_sq = {result.delta_tilde_sq:.17g}")
@@ -108,9 +109,9 @@ def _write_choice_row(path, delta, delta_hat, j_star, alpha_star, error, flags):
 
 def _cmd_choose(cfg: ExperimentConfig) -> int:
     study = build_study(cfg)
-    data = study.realization(0, 0)
+    data = study.batch(0, [0])
     obs = data.fine
-    chosen = choose(study, cfg.method, data)
+    chosen = choose(study, cfg.method, data)[0]
     err = float(np.linalg.norm(chosen.x.coeffs - study.x_true.coeffs))
     print(f"method = {cfg.method}")
     if chosen.delta_hat is not None:

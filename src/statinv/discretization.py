@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -128,8 +129,9 @@ def ladder_gap(n_fine: int) -> tuple[int, int] | None:
 
 
 def _block_sums(v: np.ndarray, n_coarse: int) -> np.ndarray:
-    block = v.shape[0] // n_coarse
-    return np.add.reduceat(v, np.arange(0, v.shape[0], block))
+    # along the last axis: each row of a batch sums exactly as a single vector does
+    block = v.shape[-1] // n_coarse
+    return np.add.reduceat(v, np.arange(0, v.shape[-1], block), axis=-1)
 
 
 def project_vector(vec: L2Vector, n_coarse: int) -> L2Vector:
@@ -156,7 +158,9 @@ def project(obs_fine: Observation, n_coarse: int) -> Observation:
 
     Block-averaging the cell values is the exact orthogonal projection; for
     white noise the aggregated coordinates are again iid standard normal, so
-    the projected observation follows the level-n_coarse model exactly.
+    the projected observation follows the level-n_coarse model exactly.  A
+    batch is projected row by row in one pass, and its shared exact data
+    once.
     """
     n_fine = obs_fine.n
     if n_fine % n_coarse != 0:
@@ -194,16 +198,18 @@ def project_operator(op_fine: DiscreteOperator, n_coarse: int) -> DiscreteOperat
 
 
 class LevelData:
-    """Level-indexed view of one fine observation: n -> Observation at level n.
+    """Level-indexed view of a batch of R realizations: n -> Observation at level n.
 
-    Requested levels are rounded up to the nearest nested one; requests
-    beyond the fine grid raise :class:`DataUnavailableError`.  All levels
-    share the single underlying noise realization.
+    ``obs_fine`` holds the R realizations on the fine grid (a single
+    observation is the case R = 1).  Requested levels are rounded up to the
+    nearest nested one, and each level is projected once for the whole batch;
+    requests beyond the fine grid raise :class:`DataUnavailableError`.
     """
 
     def __init__(self, obs_fine: Observation):
         self._obs = obs_fine
         self._cache = {obs_fine.n: obs_fine}
+        self._levels = {}  # requested level -> nested level
 
     @property
     def n_fine(self) -> int:
@@ -213,8 +219,22 @@ class LevelData:
     def fine(self) -> Observation:
         return self._obs
 
+    @property
+    def rows(self) -> int:
+        return self._obs.rows
+
+    def level(self, n_requested: int) -> int:
+        """The nested level that serves a request for ``n_requested``."""
+        if n_requested not in self._levels:
+            self._levels[n_requested] = nested_level(n_requested, self.n_fine)
+        return self._levels[n_requested]
+
     def __call__(self, n_requested: int) -> Observation:
-        level = nested_level(n_requested, self.n_fine)
+        level = self.level(n_requested)
         if level not in self._cache:
             self._cache[level] = project(self._obs, level)
         return self._cache[level]
+
+    def row(self, i: int) -> Callable[[int], Observation]:
+        """Data source of realization ``i`` alone, read from the batch's levels."""
+        return lambda n_requested: self(n_requested).row(i)

@@ -28,7 +28,7 @@ from .discretization import LevelData, LevelSchedule, ladder_gap
 from .errors import ConfigError
 from .filters import Filter, regularize_svd, spectral_series, tikhonov, variance_bound
 from .grid import Grid, L2Vector
-from .noise import NoiseSpec, draw_noise, observe
+from .noise import NoiseSpec, Observation, draw_noise, observe
 from .noise_level import EstimatorConfig
 from .operators import DiscreteOperator, apply, build_holder_kernel_operator, build_integration_operator
 from .signals import dirac_direction, make_signal
@@ -286,11 +286,19 @@ class Study:
     spec: NoiseSpec
     cache: LevelSolverCache
 
-    def realization(self, di: int, rep: int) -> LevelData:
-        """Replicate ``rep`` at ``delta_list[di]``, drawn once and projected once per level."""
+    def batch(self, di: int, reps: Optional[Sequence[int]] = None) -> LevelData:
+        """Replicates ``reps`` (all by default) at ``delta_list[di]`` as one (R, n) batch.
+
+        Each replicate is drawn by ``observe`` from its own stream, in order;
+        the batch is projected once per level for all of them.
+        """
         delta = self.cfg.delta_list[di]
+        reps = range(self.cfg.replicates) if reps is None else reps
         return LevelData(
-            observe(self.op, self.x_true, delta, self.spec, replicate=(di, rep), y_exact=self.y_exact)
+            Observation.stack(
+                observe(self.op, self.x_true, delta, self.spec, replicate=(di, rep), y_exact=self.y_exact)
+                for rep in reps
+            )
         )
 
 
@@ -304,18 +312,19 @@ def build_study(cfg: ExperimentConfig) -> Study:
 def run_study(cfg: ExperimentConfig, methods: Sequence[str]):
     """Run every method in ``methods`` on the same realizations along delta_list.
 
-    Each replicate is drawn once by ``Study.realization`` and handed to every
-    method through ``choose``.  Yields ``(delta, x_true, choices)`` per delta,
-    where ``choices[method]`` holds that method's ``Choice`` per replicate.
+    The replicates of one delta are drawn once as one batch by
+    ``Study.batch`` and handed to every method through ``choose``.  Yields
+    ``(delta, x_true, choices)`` per delta, where ``choices[method]`` holds
+    that method's ``Choice`` per replicate.
     """
     study = build_study(cfg)
     for di, delta in enumerate(cfg.delta_list):
-        choices = {method: [] for method in methods}
-        for rep in range(cfg.replicates):
-            data = study.realization(di, rep)
-            for method in methods:
-                choices[method].append(choose(study, method, data))
+        data = study.batch(di)
+        choices = {method: choose(study, method, data) for method in methods}
+        # a delta's batch and solutions are dropped before the next batch is drawn
+        del data
         yield delta, study.x_true, choices
+        del choices
 
 
 def run_mse_study(cfg: ExperimentConfig) -> list:
@@ -325,10 +334,11 @@ def run_mse_study(cfg: ExperimentConfig) -> list:
     one noise sequence per replicate along finitely many noise levels, it
     does not quantify over all admissible sequences.
     """
-    return [
-        _summarize(delta, cfg.method, x_true, choices[cfg.method], cfg.epsilons)
-        for delta, x_true, choices in run_study(cfg, (cfg.method,))
-    ]
+    rows = []
+    for delta, x_true, choices in run_study(cfg, (cfg.method,)):
+        rows.append(_summarize(delta, cfg.method, x_true, choices[cfg.method], cfg.epsilons))
+        del choices  # before run_study draws the next batch
+    return rows
 
 
 @dataclass
@@ -352,47 +362,58 @@ class Choice:
     best_error: Optional[float] = None
 
 
-def choose(study: Study, method: str, data: LevelData) -> Choice:
-    """Run ``method`` on one realization of ``study``; the one dispatch over ``METHODS``.
+def choose(study: Study, method: str, data: LevelData) -> list:
+    """Run ``method`` on every row of a batch of ``study``; the one dispatch over ``METHODS``.
 
+    Returns one ``Choice`` per row.  The oracle and the discrepancy principle
+    run row by row; the Lepskii methods balance the whole batch at once.
     ``study.x_true`` is read by the oracle and for the Lepskii ``best_error``.
     """
-    cfg, op, x_true, obs = study.cfg, study.op, study.x_true, data.fine
+    cfg, op, x_true, fine = study.cfg, study.op, study.x_true, data.fine
     template = LepskiiConfig(
-        q=cfg.lepskii_q, C_psi=cfg.lepskii_c_psi, max_alpha=op.norm**2, delta_input=obs.delta
+        q=cfg.lepskii_q, C_psi=cfg.lepskii_c_psi, max_alpha=op.norm**2, delta_input=fine.delta
     )
     filt = tikhonov()
     if method == "oracle":
-        alpha, _, x = oracle_choice(op, x_true, obs, filt, template.alphas)
-        return Choice(alpha=alpha, x=x)
+        alphas = template.alphas
+        picks = [oracle_choice(op, x_true, fine.row(i), filt, alphas) for i in range(fine.rows)]
+        return [Choice(alpha=alpha, x=x) for alpha, _, x in picks]
     if method == "discrepancy":
-        dp = discrepancy_principle(op, obs, filt, cfg.tau_dp, template.alphas)
-        return Choice(
-            alpha=dp.alpha,
-            x=dp.x_alpha,
-            flags=[] if dp.satisfied else ["discrepancy_unsatisfied"],
-            residual=dp.residual,
-            satisfied=dp.satisfied,
-        )
-    delta_hat = None
+        alphas = template.alphas
+        dps = [discrepancy_principle(op, fine.row(i), filt, cfg.tau_dp, alphas) for i in range(fine.rows)]
+        return [
+            Choice(
+                alpha=dp.alpha,
+                x=dp.x_alpha,
+                flags=[] if dp.satisfied else ["discrepancy_unsatisfied"],
+                residual=dp.residual,
+                satisfied=dp.satisfied,
+            )
+            for dp in dps
+        ]
+    delta_hats = [None] * fine.rows
     if method == "lepskii_known_delta":
         lep = lepskii_choose(op, data, template, study.sched, cache=study.cache)
     elif method == "lepskii_estimated_delta":
-        estimate, lep, _ = data_driven_choose(
+        estimates, lep, _ = data_driven_choose(
             op, data, cfg.estimator, template, study.sched, cache=study.cache
         )
-        delta_hat = estimate.delta_hat
+        delta_hats = [e.delta_hat for e in estimates]
     else:
         raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
-    return Choice(
-        alpha=lep.alpha_star,
-        x=lep.x_star,
-        flags=lep.flags,
-        j_star=lep.j_star,
-        m=lep.m,
-        delta_hat=delta_hat,
-        best_error=min(np.linalg.norm(x_true.coeffs - x.coeffs) for x in lep.solutions),
-    )
+    best = lep.errors(x_true).min(axis=1)
+    return [
+        Choice(
+            alpha=row.alpha_star,
+            x=row.x_star,
+            flags=row.flags,
+            j_star=row.j_star,
+            m=row.m,
+            delta_hat=delta_hat,
+            best_error=float(b),
+        )
+        for row, delta_hat, b in zip(lep.rows, delta_hats, best)
+    ]
 
 
 @dataclass
@@ -494,6 +515,7 @@ def run_veto_study(cfg: ExperimentConfig) -> list:
                 errors_estimated=est_row.errors,
             )
         )
+        del choices, known, estimated  # before run_study draws the next batch
     return rows
 
 

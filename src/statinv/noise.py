@@ -90,19 +90,27 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class Observation:
-    """Realized coefficients Y_{delta,j} = <y, phi_j> + delta * xi_j."""
+    """Realized coefficients Y_{delta,j} = <y, phi_j> + delta * xi_j.
+
+    ``coeffs`` holds one realization, shape (n,), or a batch of R
+    realizations of the same model (grid, exact data, delta and noise spec),
+    shape (R, n).  ``seed_used`` is the stream key of the one realization,
+    or a tuple with the key of every row.
+    """
 
     grid: Grid
     y_exact: L2Vector
     delta: float
     coeffs: np.ndarray
     noise: NoiseSpec
-    seed_used: int
+    seed_used: Union[int, Tuple[int, ...]]
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.shape != (self.grid.n_cells,):
+        if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != self.grid.n_cells:
             raise ValueError("coefficient length does not match the grid")
+        if coeffs.ndim == 2 and len(self.seed_used) != coeffs.shape[0]:
+            raise ValueError("a batch needs one seed_used key per row")
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
@@ -111,23 +119,62 @@ class Observation:
     def n(self) -> int:
         return self.grid.n_cells
 
+    @property
+    def rows(self) -> int:
+        """Number of realizations R; a single realization is one row."""
+        return 1 if self.coeffs.ndim == 1 else self.coeffs.shape[0]
 
-def draw_noise(spec: NoiseSpec, grid: Grid, replicate: ReplicateKey = 0) -> np.ndarray:
+    def row(self, i: int) -> "Observation":
+        """Realization ``i`` as a single observation."""
+        if self.coeffs.ndim == 1:
+            if i != 0:
+                raise IndexError(f"row {i} of a single observation")
+            return self
+        return Observation(
+            self.grid, self.y_exact, self.delta, self.coeffs[i], self.noise, self.seed_used[i]
+        )
+
+    @classmethod
+    def stack(cls, observations) -> "Observation":
+        """One (R, n) batch of single observations of the same model, in order."""
+        obs = list(observations)
+        if not obs:
+            raise ValueError("cannot stack an empty sequence of observations")
+        first = obs[0]
+        for o in obs:
+            same = (o.grid, o.delta, o.noise) == (first.grid, first.delta, first.noise)
+            if o.coeffs.ndim != 1 or not same:
+                raise ValueError("a batch stacks single observations of one model")
+            if o.y_exact is not first.y_exact and not np.array_equal(
+                o.y_exact.coeffs, first.y_exact.coeffs
+            ):
+                raise ValueError("a batch shares one exact data vector")
+        coeffs = np.stack([o.coeffs for o in obs])
+        keys = tuple(o.seed_used for o in obs)
+        del obs  # free the single rows before the constructor copies the stack
+        return cls(first.grid, first.y_exact, first.delta, coeffs, first.noise, keys)
+
+
+def draw_noise(
+    spec: NoiseSpec, grid: Grid, replicate: ReplicateKey = 0, *, key: Optional[int] = None
+) -> np.ndarray:
     """One realization of the noise coordinates on ``grid``.
 
     Deterministic in (seed, replicate, n): the same key always reproduces the
-    same vector bit for bit.
+    same vector bit for bit.  ``key`` is ``stream_key(spec.seed, replicate)``
+    when the caller has derived it already.
     """
     n = grid.n_cells
+    if key is None and spec.kind != "dirac":
+        key = stream_key(spec.seed, replicate)
     if spec.kind == "gaussian_white":
-        rng = generator_for(stream_key(spec.seed, replicate))
-        return rng.standard_normal(n)
+        return generator_for(key).standard_normal(n)
     if spec.xi.grid != grid:
         raise ValueError("base vector lives on a different grid")
     if spec.kind == "dirac":
         return spec.xi.coeffs.copy()
     # scaled_rv: random sign on the fixed base vector
-    rng = generator_for(stream_key(spec.seed, replicate))
+    rng = generator_for(key)
     sign = 1.0 if rng.random() < 0.5 else -1.0
     return sign * spec.xi.coeffs
 
@@ -152,14 +199,15 @@ def observe(
         y_exact = apply(op, x_true)
     elif y_exact.grid != op.grid:
         raise ValueError("exact data and operator grids do not match")
-    xi = draw_noise(spec, op.grid, replicate)
+    key = stream_key(spec.seed, replicate)
+    xi = draw_noise(spec, op.grid, replicate, key=key)
     return Observation(
         grid=op.grid,
         y_exact=y_exact,
         delta=float(delta),
         coeffs=y_exact.coeffs + delta * xi,
         noise=spec,
-        seed_used=stream_key(spec.seed, replicate),
+        seed_used=key,
     )
 
 

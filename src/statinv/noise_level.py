@@ -99,6 +99,8 @@ class EstimatorConfig:
 
 def estimate_delta_sq(obs: Observation) -> float:
     """The first-difference estimate of delta^2 at the observation's level."""
+    if obs.coeffs.ndim != 1:
+        raise ValueError("estimate_delta_sq takes one realization; use obs.row(i)")
     n = obs.n
     if n < 2:
         raise ValueError("estimation needs at least two cells")

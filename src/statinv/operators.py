@@ -107,9 +107,6 @@ class DiscreteOperator:
         """Spectral norm, the largest singular value."""
         return float(self.s[0])
 
-    def singular_values(self) -> np.ndarray:
-        return self.s
-
     def __repr__(self):
         return f"DiscreteOperator(n={self.n}, s1={self.norm:.6g}, rank={self.rank})"
 

@@ -33,11 +33,14 @@ def make_signal(
 
     * ``smooth`` -- sin(pi t);
     * ``source`` -- (T*T)^nu v for the normalized constant v, scaled to unit
-      norm (a source-condition element with radius ~ amplitude); needs ``op``;
+      norm; needs ``op``.  After the ``amplitude`` scaling it is
+      (T*T)^nu (r v) with source radius r = amplitude / ||(T*T)^nu v||,
+      much larger than the amplitude (27.4 for amplitude 10, nu = 1 and the
+      integration operator at n = 1024);
     * ``rough`` -- the step +1 on [0, 1/2), -1 on [1/2, 1).
 
-    ``amplitude`` rescales the result and plays the role of the source radius
-    in the convergence experiments.
+    ``amplitude`` rescales the result.  For ``source`` it is the signal's
+    norm, not its source radius.
     """
     n = grid.n_cells
     if kind == "smooth":

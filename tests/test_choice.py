@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statinv import (
     EstimatorConfig,
+    ExperimentConfig,
     Grid,
     L2Vector,
     LepskiiConfig,
@@ -10,20 +12,28 @@ from statinv import (
     LevelSchedule,
     LevelSolverCache,
     NoiseSpec,
+    Observation,
     SourceCondition,
     WhiteNoiseError,
+    apply,
     build_holder_kernel_operator,
+    build_integration_operator,
+    choose,
     data_driven_choose,
     discrepancy_principle,
+    embed_vector,
     lepskii_choose,
+    n_of,
     observe,
     oracle_choice,
     refine_delta_hat,
     regularize_normal_equations,
     regularize_svd,
     spectral_cutoff,
+    spectral_series,
     tikhonov,
 )
+from statinv.harness import build_study
 from statinv.signals import dirac_direction, make_signal
 
 SCHED = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=1024)
@@ -37,8 +47,6 @@ def _noiseless_obs(op, x, delta):
     zero = NoiseSpec.dirac(L2Vector(op.grid, np.zeros(op.n)))
     obs = observe(op, x, 1e-300, zero)
     # relabel with the nominal delta for choice rules that read obs.delta
-    from statinv import Observation
-
     return Observation(
         grid=obs.grid, y_exact=obs.y_exact, delta=delta, coeffs=obs.coeffs,
         noise=obs.noise, seed_used=obs.seed_used,
@@ -196,7 +204,7 @@ def test_discrepancy_noiseless_is_above_oracle(op256):
 def test_lepskii_zero_data_accepts_everything(op256):
     obs = _noiseless_obs(op256, L2Vector(op256.grid, np.zeros(256)), 0.01)
     cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op256.norm**2, delta_input=0.01)
-    result = lepskii_choose(op256, LevelData(obs), cfg, SCHED)
+    result = lepskii_choose(op256, LevelData(obs), cfg, SCHED)[0]
     assert result.j_star == result.m
     assert result.accepted_is_prefix
     assert result.accepted == list(range(1, result.m + 1))
@@ -206,7 +214,7 @@ def test_lepskii_noiseless_picks_interior_index(op1024):
     x = make_signal("source", op1024.grid, op=op1024, nu=1.0, amplitude=10.0)
     obs = _noiseless_obs(op1024, x, 1e-6)
     cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2, delta_input=1e-6)
-    result = lepskii_choose(op1024, LevelData(obs), cfg, SCHED)
+    result = lepskii_choose(op1024, LevelData(obs), cfg, SCHED)[0]
     assert result.j_star >= 1
 
 
@@ -215,7 +223,7 @@ def test_lepskii_diagnostics(op1024):
     obs = _white_obs(op1024, x, 0.02, seed=3)
     cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2, delta_input=0.02)
     source = SourceCondition.holder(nu=1.0, radius=10.0)
-    result = lepskii_choose(op1024, LevelData(obs), cfg, SCHED, source=source)
+    result = lepskii_choose(op1024, LevelData(obs), cfg, SCHED, source=source)[0]
     psi = np.array([c[2] for c in result.candidates])
     assert np.all(np.diff(psi) < 0)  # Psi decreasing in j
     assert result.accepted_is_prefix  # accepted set is a down-set
@@ -230,7 +238,7 @@ def test_lepskii_degenerate_flag(op256):
     x = make_signal("smooth", op256.grid)
     obs = _white_obs(op256, x, 0.05, seed=5)
     cfg = LepskiiConfig(q=2.0, C_psi=1e-12, max_alpha=op256.norm**2, delta_input=0.05)
-    result = lepskii_choose(op256, LevelData(obs), cfg, SCHED)
+    result = lepskii_choose(op256, LevelData(obs), cfg, SCHED)[0]
     assert result.j_star == 0
     assert "lepskii_degenerate" in result.flags
     assert result.alpha_star == pytest.approx(cfg.alpha0)
@@ -242,7 +250,7 @@ def test_lepskii_candidates_match_normal_equations(op256):
     obs = _white_obs(op256, x, 0.05, seed=13)
     cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op256.norm**2, delta_input=0.05)
     cache = LevelSolverCache(op256)
-    result = lepskii_choose(op256, LevelData(obs), cfg, SCHED, cache=cache)
+    result = lepskii_choose(op256, LevelData(obs), cfg, SCHED, cache=cache)[0]
     from statinv.discretization import embed_vector, nested_level, project
     from statinv import n_of
 
@@ -262,12 +270,13 @@ def test_data_driven_reduces_to_lepskii(op1024):
     est_cfg = EstimatorConfig()
     template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2, delta_input=0.05)
     cache = LevelSolverCache(op1024)
-    estimate, lep, x_final = data_driven_choose(op1024, data, est_cfg, template, SCHED, cache=cache)
+    estimates, lep, xs = data_driven_choose(op1024, data, est_cfg, template, SCHED, cache=cache)
+    estimate, lep, x_final = estimates[0], lep[0], xs[0]
     # feeding the produced estimate back through the known-level rule gives
     # the identical choice: the pipeline is exactly estimate-then-balance
     again = lepskii_choose(
         op1024, LevelData(obs), template.with_delta(estimate.delta_hat), SCHED, cache=cache
-    )
+    )[0]
     assert again.j_star == lep.j_star
     assert np.array_equal(again.x_star.coeffs, x_final.coeffs)
 
@@ -278,7 +287,8 @@ def test_data_driven_flags_nonconverged_estimator(op64):
     est_cfg = EstimatorConfig(n0=16)
     sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=64)
     template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op64.norm**2, delta_input=1.0)
-    estimate, lep, x_final = data_driven_choose(op64, LevelData(obs), est_cfg, template, sched)
+    estimates, lep, xs = data_driven_choose(op64, LevelData(obs), est_cfg, template, sched)
+    estimate, lep, x_final = estimates[0], lep[0], xs[0]
     assert not estimate.converged
     assert "estimator_not_converged" in lep.flags
     assert x_final.grid == op64.grid
@@ -292,9 +302,9 @@ def test_data_driven_error_close_to_known_delta(op1024):
     obs = _white_obs(op1024, x, delta, seed=29)
     cache = LevelSolverCache(op1024)
     template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2, delta_input=delta)
-    known = lepskii_choose(op1024, LevelData(obs), template, SCHED, cache=cache)
+    known = lepskii_choose(op1024, LevelData(obs), template, SCHED, cache=cache)[0]
     err_known = np.linalg.norm(known.x_star.coeffs - x.coeffs)
-    _, _, x_final = data_driven_choose(
+    _, _, (x_final,) = data_driven_choose(
         op1024, LevelData(obs), EstimatorConfig(), template, SCHED, cache=cache
     )
     err_dd = np.linalg.norm(x_final.coeffs - x.coeffs)
@@ -312,5 +322,91 @@ def test_refine_then_choose_uses_estimate(op1024):
         m_window=est_cfg.m_window, sched=SCHED, n0=est_cfg.n0,
     )
     template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2, delta_input=0.05)
-    estimate, _, _ = data_driven_choose(op1024, data, est_cfg, template, SCHED)
+    (estimate,), _, _ = data_driven_choose(op1024, data, est_cfg, template, SCHED)
     assert estimate == direct
+
+
+def _scalar_lepskii(op, obs, cfg, sched):
+    """The balancing rule on one realization, one candidate and one pair at a time.
+
+    Every candidate is embedded in the fine grid and each pair is checked by
+    its own 1-D norm, stopping at the first failing k.  Returns
+    ``(j_star, accepted, pairs_checked, x_star)``.
+    """
+    data, cache = LevelData(obs), LevelSolverCache(op)
+    solutions, psi = [], []
+    for a in cfg.alphas:
+        obs_j = data(n_of(a, cfg.delta_input, sched))
+        x_j = spectral_series(tikhonov(), cache.operator(obs_j.n), obs_j.coeffs, a)
+        solutions.append(embed_vector(L2Vector(obs_j.grid, x_j), op.grid).coeffs)
+        psi.append(cfg.C_psi * np.sqrt(obs_j.n / (4.0 * a)))
+    band = 4.0 * cfg.kappa * cfg.delta_input * np.array(psi)
+    accepted, pairs = [], 0
+    for j in range(1, cfg.m + 1):
+        ok = True
+        for k in range(j):
+            pairs += 1
+            if np.linalg.norm(solutions[k] - solutions[j]) > band[k]:
+                ok = False
+                break
+        if ok:
+            accepted.append(j)
+    j_star = max(accepted) if accepted else 0
+    return j_star, accepted, pairs, solutions[j_star]
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("kind", ["gaussian_white", "dirac"])
+@pytest.mark.parametrize("delta", [0.05, 0.01])
+def test_batched_lepskii_matches_the_scalar_rule(n, kind, delta):
+    op = build_integration_operator(Grid(n))
+    x = make_signal("source", op.grid, op=op, nu=1.0, amplitude=10.0)
+    sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=n)
+    spec = NoiseSpec.gaussian_white(11) if kind == "gaussian_white" else NoiseSpec.dirac(dirac_direction(op.grid))
+    y = apply(op, x)
+    batch = Observation.stack(observe(op, x, delta, spec, replicate=rep, y_exact=y) for rep in range(6))
+    template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op.norm**2, delta_input=delta)
+    known = lepskii_choose(op, LevelData(batch), template, sched)
+    estimates, estimated, xs = data_driven_choose(op, LevelData(batch), EstimatorConfig(), template, sched)
+    total = 0
+    for i in range(batch.rows):
+        single = batch.row(i)
+        for row, cfg in [(known[i], template), (estimated[i], template.with_delta(estimates[i].delta_hat))]:
+            j_star, accepted, pairs, x_star = _scalar_lepskii(op, single, cfg, sched)
+            assert row.j_star == j_star
+            assert row.accepted == accepted
+            assert row.accepted_pairs_checked == pairs
+            assert np.array_equal(row.x_star.coeffs, x_star)
+            total += pairs
+        assert xs[i] is estimated[i].x_star
+    assert known.accepted_pairs_checked + estimated.accepted_pairs_checked == total
+
+
+PAIR = ("lepskii_known_delta", "lepskii_estimated_delta")
+SMALL_STUDY = build_study(
+    ExperimentConfig(
+        operator_n=64,
+        signal_kind="source",
+        signal_amplitude=10.0,
+        delta_list=(0.1, 0.02),
+        replicates=4,
+        seed=5,
+        study="veto",
+        method="lepskii_estimated_delta",
+        schedule=LevelSchedule(c2=0.0, n_max=64),
+    )
+)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(st.integers(0, 1), st.lists(st.integers(0, 40), min_size=1, max_size=6))
+def test_batch_rows_equal_single_realizations(di, reps):
+    # a row's choice does not depend on the size or the other rows of its batch
+    for method in PAIR:
+        batch = choose(SMALL_STUDY, method, SMALL_STUDY.batch(di, reps))
+        for rep, got in zip(reps, batch, strict=True):
+            (alone,) = choose(SMALL_STUDY, method, SMALL_STUDY.batch(di, [rep]))
+            assert got.j_star == alone.j_star
+            assert np.array_equal(got.x.coeffs, alone.x.coeffs)
+            assert got.best_error == alone.best_error
+            assert got.delta_hat == alone.delta_hat

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from statinv.cli import main
@@ -109,7 +115,7 @@ def test_harness_and_cli_choose_same_alpha(tmp_path, capsys, method):
     cfg = parse_config(path)
     study = build_study(cfg)
     # the first replicate of the first delta, as in run_mse_study
-    chosen = choose(study, cfg.method, study.realization(0, 0))
+    chosen = choose(study, cfg.method, study.batch(0, [0]))[0]
     assert chosen.alpha == cli_alpha
 
 
@@ -183,3 +189,68 @@ def test_no_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+# Records every Lepskii j* while ``statinv converge`` runs, then prints them as JSON.
+_RECORD_J_STAR = """
+import json, sys
+import statinv.harness as harness
+from statinv.cli import main
+
+seen = []
+real_choose = harness.choose
+
+def recording_choose(study, method, data):
+    chosen = real_choose(study, method, data)
+    seen.extend([method, c.j_star] for c in chosen)
+    return chosen
+
+harness.choose = recording_choose
+code = main(sys.argv[1:])
+print(json.dumps(seen))
+sys.exit(code)
+"""
+
+VETO_SMALL_CFG = """
+operator.kind = integration
+operator.n = 256
+signal.kind = source
+signal.amplitude = 10.0
+noise.kind = gaussian_white
+delta_list = 0.1, 0.03, 0.01
+replicates = 12
+seed = 20260811
+method = lepskii_estimated_delta
+study = veto
+schedule.c2 = 0.0
+schedule.n_max = 256
+"""
+
+
+def test_converge_is_independent_of_the_blas_thread_count(tmp_path):
+    # the stacked products must not pick a thread-dependent summation order
+    cfg = tmp_path / "veto.cfg"
+    cfg.write_text(VETO_SMALL_CFG)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        for attempt in ("a", "b"):
+            out = tmp_path / f"veto_{threads}{attempt}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-c", _RECORD_J_STAR, "converge", "--config", str(cfg), "--out", str(out)],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            runs[threads, attempt] = (out.read_bytes(), json.loads(proc.stdout.splitlines()[-1]))
+    for threads in ("1", "2"):
+        assert runs[threads, "a"] == runs[threads, "b"]  # reruns: identical bytes and j*
+    one, two = runs["1", "a"], runs["2", "a"]
+    assert one[1] == two[1]
+    assert len(one[1]) == 2 * 3 * 12
+
+    def columns(csv_bytes):
+        header, *lines = csv_bytes.decode().splitlines()
+        names = header.split(",")
+        return [{k: v for k, v in zip(names, line.split(",")) if k in ("m", "hit_rate")} for line in lines]
+
+    assert columns(one[0]) == columns(two[0])

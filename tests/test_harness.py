@@ -35,6 +35,7 @@ from statinv.harness import (
     config_from_mapping,
     effective_schedule,
 )
+from statinv.noise import stream_key
 from statinv.signals import dirac_direction, make_signal
 
 VETO_SCHED = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=1024)
@@ -193,12 +194,13 @@ def test_studies_observe_once_per_replicate(monkeypatch, study, method):
 
 
 def test_veto_study_projects_each_realization_level_once(monkeypatch):
-    # both pipelines and the estimator read one LevelData per replicate
+    # both pipelines and the estimator read one LevelData per delta: the
+    # replicates of a delta are one batch, projected once per level
     calls = []
     real_project = statinv.discretization.project
 
     def counting_project(obs, n_coarse):
-        calls.append((obs.seed_used, n_coarse))
+        calls.append((obs.delta, n_coarse, obs.seed_used))
         return real_project(obs, n_coarse)
 
     # every module that bound the name, as a per-layer trace would count it
@@ -218,8 +220,19 @@ def test_veto_study_projects_each_realization_level_once(monkeypatch):
         schedule=LevelSchedule(c2=0.0, n_max=64),
     )
     run_veto_study(cfg)
-    assert len(calls) == len(set(calls))
-    assert len({key for key, _ in calls}) == len(cfg.delta_list) * cfg.replicates
+    # at most one projection per (delta, level)
+    assert len(calls) == len({(delta, n) for delta, n, _ in calls})
+    # one batch per delta, and the batches hold every (di, rep) exactly once
+    batches = {delta: keys for delta, _, keys in calls}
+    assert sorted(batches) == sorted(cfg.delta_list)
+    assert all(keys == batches[delta] for delta, _, keys in calls)
+    drawn = [key for keys in batches.values() for key in keys]
+    expected = [
+        stream_key(cfg.seed, (di, rep))
+        for di in range(len(cfg.delta_list))
+        for rep in range(cfg.replicates)
+    ]
+    assert sorted(drawn) == sorted(expected)
 
 
 def test_study_applies_the_operator_once(monkeypatch):
@@ -276,7 +289,7 @@ def test_run_study_pairs_methods_on_one_realization():
                 assert c.best_error <= np.linalg.norm(x_true.coeffs - c.x.coeffs)
                 obs = observe(op, x_true, delta, spec, replicate=(di, rep))
                 lep_cfg = template if c.delta_hat is None else template.with_delta(c.delta_hat)
-                fresh = lepskii_choose(op, LevelData(obs), lep_cfg, sched)
+                fresh = lepskii_choose(op, LevelData(obs), lep_cfg, sched)[0]
                 assert np.array_equal(fresh.x_star.coeffs, c.x.coeffs)
                 assert c.best_error == min(
                     np.linalg.norm(x_true.coeffs - x.coeffs) for x in fresh.solutions

@@ -183,3 +183,33 @@ def test_observation_csv(tmp_path, op64):
     assert text[2] == "# noise=gaussian_white"
     assert text[3] == "j,t_j,y_exact_j,coeff_j"
     assert len(text) == 4 + obs.n
+
+
+@pytest.mark.parametrize("kind", ["gaussian_white", "scaled_rv", "dirac"])
+def test_observe_derives_the_stream_key_once(op64, monkeypatch, kind):
+    import statinv.noise
+
+    x = make_signal("smooth", op64.grid)
+    direction = dirac_direction(op64.grid)
+    spec = {
+        "gaussian_white": NoiseSpec.gaussian_white(seed=9),
+        "scaled_rv": NoiseSpec.scaled_rv(direction, seed=9),
+        "dirac": NoiseSpec.dirac(direction, seed=9),
+    }[kind]
+    real_key = statinv.noise.stream_key
+    keys = []
+
+    def counting_key(seed, replicate=0):
+        keys.append(replicate)
+        return real_key(seed, replicate)
+
+    monkeypatch.setattr(statinv.noise, "stream_key", counting_key)
+    for rep in [(0, 0), (1, 3), (2, 5)]:
+        obs = observe(op64, x, 0.05, spec, replicate=rep)
+        assert keys == [rep]
+        keys.clear()
+        # the draw is the one draw_noise makes from its own key
+        xi = draw_noise(spec, op64.grid, rep)
+        assert np.array_equal(obs.coeffs, obs.y_exact.coeffs + 0.05 * xi)
+        assert obs.seed_used == real_key(9, rep)
+        keys.clear()

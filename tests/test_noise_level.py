@@ -51,6 +51,17 @@ def test_estimate_needs_two_cells():
         estimate_delta_sq(obs)
 
 
+def test_estimate_takes_one_row_of_a_batch(op64):
+    x = make_signal("smooth", op64.grid)
+    spec = NoiseSpec.gaussian_white(seed=4)
+    rows = [observe(op64, x, 0.1, spec, replicate=rep) for rep in range(3)]
+    batch = Observation.stack(rows)
+    with pytest.raises(ValueError, match="one realization"):
+        estimate_delta_sq(batch)
+    for i, obs in enumerate(rows):
+        assert estimate_delta_sq(batch.row(i)) == estimate_delta_sq(obs)
+
+
 def test_pure_noise_expectation(op512):
     # E[dts_n] = delta^2 (n-1)/n for pure white noise; Monte Carlo oracle
     delta, reps = 0.1, 5000
