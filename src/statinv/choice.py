@@ -12,8 +12,9 @@ level or the estimate delta_hat, which is what makes the combined pipeline
 purely data driven.
 
 Candidates are Tikhonov solutions at level n(alpha_j, delta), computed as
-the spectral series of the level operator from its cached SVD, so that all
-alphas and replicates reuse the factorization made when the level is built.
+the spectral series V_r F_alpha(s^2) s U_r^T y of the level operator through
+its ``uty`` and ``v``, so that all alphas and replicates reuse the singular
+system cached when the level is built.
 The balancing rule runs on a batch of R data rows at once (a
 :class:`LevelData`; one realization is R = 1), so the known-delta and the
 estimated-delta pipelines, and the noise-level estimator, read the same
@@ -29,7 +30,7 @@ import numpy as np
 
 from .discretization import LevelData, LevelSchedule, embed_vector, n_of, project_operator
 from .errors import WhiteNoiseError, require_finite
-from .filters import Filter, filter_value, regularize_svd
+from .filters import Filter, filter_value, regularize_svd, tikhonov
 from .grid import Grid, L2Vector
 from .noise import Observation
 from .noise_level import EstimatorConfig, NoiseEstimate, refine_delta_hat
@@ -101,6 +102,9 @@ class LepskiiConfig:
 
 # Entries of the fine-grid differences that LepskiiResult.errors holds at once.
 _CHUNK = 2**16
+
+# The balancing candidates are Tikhonov solutions.
+_TIKHONOV = tikhonov()
 
 
 @dataclass
@@ -221,12 +225,10 @@ def oracle_choice(
     alphas = np.sort(np.asarray(alpha_grid, dtype=float))
     if alphas.size == 0:
         raise ValueError("alpha grid is empty")
-    r = op.rank
-    s = op.s[:r]
-    uty = op.u[:, :r].T @ obs.coeffs
+    s = op.s[: op.rank]
     # same product order as spectral_series, one row per alpha
-    weights = np.stack([filter_value(filt, a, s**2) for a in alphas]) * s * uty
-    scores = np.linalg.norm(weights - op.vt[:r] @ x_true.coeffs, axis=1)
+    weights = filter_value(filt, alphas[:, None], s**2) * s * op.uty(obs.coeffs)
+    scores = np.linalg.norm(weights - op.vtx(x_true.coeffs), axis=1)
     best = float(alphas[np.argmin(scores)])  # argmin takes the first, smallest alpha
     x = regularize_svd(filt, op, obs.coeffs, best).x_alpha
     return best, float(np.linalg.norm(x.coeffs - x_true.coeffs)), x
@@ -372,13 +374,10 @@ def lepskii_choose(
         ii, jj = np.nonzero(levels == level)
         need, pos = np.unique(ii, return_inverse=True)
         lop = cache.operator(level)
-        r = lop.rank
-        s = lop.s[:r]
-        y = data(level).coeffs.reshape(rows, level)[need]
-        # stacked products: each row bit-equal to spectral_series' u.T @ y and vt.T @ w
-        uty = (y[:, None, :] @ lop.u[:, :r])[:, 0]
-        w = 1.0 / (alphas[ii, jj][:, None] + s**2) * s * uty[pos]
-        x = (w[:, None, :] @ lop.vt[:r])[:, 0]
+        s = lop.s[: lop.rank]
+        uty = lop.uty(data(level).coeffs.reshape(rows, level)[need])
+        # each row bit-equal to spectral_series at its own alpha
+        x = lop.v(filter_value(_TIKHONOV, alphas[ii, jj][:, None], s**2) * s * uty[pos])
         if not np.all(np.isfinite(x)):
             raise ValueError("coefficients must be finite")
         embedded[ii, jj] = np.repeat(x, cells // level, axis=1) * np.sqrt(level / cells)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .grid import L2Vector
 from .noise import NoiseSpec, draw_noise
-from .operators import DiscreteOperator, generalized_inverse_apply
+from .operators import DiscreteOperator, apply, generalized_inverse_apply
 
 __all__ = [
     "Filter",
@@ -82,16 +82,20 @@ def spectral_cutoff() -> Filter:
     return Filter(kind="spectral_cutoff", gamma0=1.0, gamma_star=1.0, gamma=1.0)
 
 
-def filter_value(filt: Filter, alpha: float, theta):
-    """F_alpha(theta), elementwise in ``theta``."""
-    if alpha <= 0:
+def filter_value(filt: Filter, alpha, theta):
+    """F_alpha(theta), elementwise; ``alpha`` may be an array broadcasting against ``theta``.
+
+    ``alphas[:, None]`` against a spectrum gives one row per alpha.  A custom
+    ``func`` receives ``alpha`` as given, scalar or array.
+    """
+    if np.any(np.asarray(alpha) <= 0):
         raise ValueError(f"alpha must be positive, got {alpha}")
     theta = np.asarray(theta, dtype=float)
     if filt.kind == "tikhonov":
         out = 1.0 / (alpha + theta)
     elif filt.kind == "spectral_cutoff":
         keep = theta > alpha
-        out = np.zeros_like(theta)
+        out = np.zeros(keep.shape)
         np.divide(1.0, theta, out=out, where=keep)
     else:
         out = np.asarray(filt.func(alpha, theta), dtype=float)
@@ -118,12 +122,12 @@ class RegularizedSolution:
 def spectral_series(filt: Filter, op: DiscreteOperator, y: np.ndarray, alpha: float) -> np.ndarray:
     """Coefficients of x_alpha = sum_{s_j>0} F_alpha(s_j^2) s_j <y, u_j> v_j.
 
-    The series runs over the numerical rank only; it is the solution map
-    shared by ``regularize_svd`` and the balancing-principle candidates.
+    The series runs over the numerical rank only.  ``y`` is one data vector
+    (n,) or a batch (R, n), and each row of a batch gives the bits of its
+    own 1-D series.
     """
-    r = op.rank
-    s = op.s[:r]
-    return op.vt[:r].T @ (filter_value(filt, alpha, s**2) * s * (op.u[:, :r].T @ y))
+    s = op.s[: op.rank]
+    return op.v(filter_value(filt, alpha, s**2) * s * op.uty(y))
 
 
 def regularize_svd(
@@ -133,7 +137,7 @@ def regularize_svd(
     y = np.asarray(y, dtype=float)
     coeffs = spectral_series(filt, op, y, alpha)
     x = L2Vector(op.grid, coeffs)
-    residual = float(np.linalg.norm(op.matrix @ coeffs - y))
+    residual = float(np.linalg.norm(apply(op, x).coeffs - y))
     return RegularizedSolution(alpha=float(alpha), x_alpha=x, residual_norm=residual, solver="svd_series")
 
 
@@ -293,10 +297,10 @@ def monte_carlo_variance(
 ) -> float:
     """Monte Carlo estimate of E||R_alpha Xi||^2 under white noise."""
     spec = NoiseSpec.gaussian_white(seed)
-    r = op.rank
-    weights = filter_value(filt, alpha, op.s[:r] ** 2) * op.s[:r]
+    s = op.s[: op.rank]
+    weights = filter_value(filt, alpha, s**2) * s
     total = 0.0
     for rep in range(replicates):
         xi = draw_noise(spec, op.grid, rep)
-        total += float(np.sum((weights * (op.u[:, :r].T @ xi)) ** 2))
+        total += float(np.sum((weights * op.uty(xi)) ** 2))
     return total / replicates

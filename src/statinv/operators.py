@@ -9,6 +9,14 @@ operator (the Hoelder-kernel family, ``min_kernel`` among them) runs a dense
 LAPACK SVD.  All operators here map L2[0, 1] to itself and are
 Hilbert-Schmidt by construction (finite matrices), mirroring the compact
 operators whose regularization the rest of the package studies.
+
+Other modules read the singular system only through
+:meth:`DiscreteOperator.uty`, :meth:`DiscreteOperator.vtx` and
+:meth:`DiscreteOperator.v`, together with ``s`` and ``rank``, and apply the
+operator through :func:`apply`; how the factors are stored is this module's
+business.  The dense ``matrix`` is read elsewhere only by
+``discretization.project_operator`` (Galerkin compression to a coarser level)
+and by ``filters.regularize_normal_equations`` (the dense reference solve).
 """
 
 from __future__ import annotations
@@ -40,10 +48,17 @@ class DiscreteOperator:
     """An n x n Galerkin matrix together with its cached singular system.
 
     The singular system comes from ``factor(n)`` when a factor is given and
-    from a dense ``np.linalg.svd`` of ``matrix`` otherwise.
+    from a dense ``np.linalg.svd`` of ``matrix`` otherwise.  Other modules
+    read it through ``uty`` (U_r^T y), ``vtx`` (V_r^T x) and ``v`` (V_k w),
+    never through ``u`` and ``vt``; see the module docstring for the two
+    remaining readers of ``matrix``.
 
     Parameters
     ----------
+    matrix : array_like, shape (n, n)
+        Taken over without a copy when it is a float array that owns its
+        data, and then made read-only in place; views and foreign buffers
+        are copied.
     factor : callable n -> (u, s, vt), optional
         Closed-form singular system of ``matrix``.  It is kept on the operator
         and handed on by :func:`discretization.project_operator` to every
@@ -82,7 +97,8 @@ class DiscreteOperator:
         n = grid.n_cells
         if matrix.shape != (n, n):
             raise ValueError(f"matrix has shape {matrix.shape}, expected ({n}, {n})")
-        matrix = matrix.copy()
+        if not matrix.flags.owndata:
+            matrix = matrix.copy()
         matrix.setflags(write=False)
         u, s, vt = np.linalg.svd(matrix) if factor is None else factor(n)
         self.grid = grid
@@ -102,6 +118,21 @@ class DiscreteOperator:
     def n(self) -> int:
         return self.grid.n_cells
 
+    def uty(self, y) -> np.ndarray:
+        """U_r^T y along the last axis: (..., n) -> (..., rank)."""
+        return _stacked(y, self.u[:, : self.rank])
+
+    def vtx(self, x) -> np.ndarray:
+        """V_r^T x along the last axis: (..., n) -> (..., rank)."""
+        return _stacked(x, self.vt[: self.rank].T)
+
+    def v(self, w) -> np.ndarray:
+        """V_k w along the last axis, k = w.shape[-1] <= rank: (..., k) -> (..., n)."""
+        k = np.shape(w)[-1]
+        if k > self.rank:
+            raise ValueError(f"{k} coefficients for an operator of rank {self.rank}")
+        return _stacked(w, self.vt[:k])
+
     @property
     def norm(self) -> float:
         """Spectral norm, the largest singular value."""
@@ -109,6 +140,17 @@ class DiscreteOperator:
 
     def __repr__(self):
         return f"DiscreteOperator(n={self.n}, s1={self.norm:.6g}, rank={self.rank})"
+
+
+def _stacked(y, a: np.ndarray) -> np.ndarray:
+    """y @ a along the last axis of y, one matrix-vector product per row.
+
+    The stacked form keeps every row of a batch bit-equal to the 1-D
+    product of that row alone; a plain ``y @ a`` on a 2-D batch runs one
+    matrix-matrix product instead, whose rows can differ in the last bits.
+    """
+    y = np.asarray(y, dtype=float)
+    return (y[..., None, :] @ a)[..., 0, :]
 
 
 @dataclass(frozen=True)
@@ -246,8 +288,7 @@ def generalized_inverse_apply(op: DiscreteOperator, y: L2Vector, trunc: int) -> 
         raise ValueError("operator and vector grids do not match")
     if not 1 <= trunc <= op.rank:
         raise ValueError(f"trunc must lie in [1, rank={op.rank}], got {trunc}")
-    uy = op.u[:, :trunc].T @ y.coeffs
-    return L2Vector(op.grid, op.vt[:trunc].T @ (uy / op.s[:trunc]))
+    return L2Vector(op.grid, op.v(op.uty(y.coeffs)[:trunc] / op.s[:trunc]))
 
 
 def discretization_defect(op: DiscreteOperator, full_op: DiscreteOperator) -> float:

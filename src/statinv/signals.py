@@ -51,8 +51,7 @@ def make_signal(
         if nu <= 0:
             raise ValueError("nu must be positive")
         v = np.full(n, 1.0 / np.sqrt(n))
-        r = op.rank
-        coeffs = op.vt[:r].T @ (op.s[:r] ** (2.0 * nu) * (op.vt[:r] @ v))
+        coeffs = op.v(op.s[: op.rank] ** (2.0 * nu) * op.vtx(v))
         norm = np.linalg.norm(coeffs)
         if norm == 0.0:
             raise ValueError("source signal collapsed to zero")

@@ -42,6 +42,17 @@ def test_filter_rejects_nonpositive_alpha():
         bias_value(spectral_cutoff(), -1.0, 0.5)
 
 
+@pytest.mark.parametrize("filt", [tikhonov(), spectral_cutoff()], ids=["tikhonov", "cutoff"])
+def test_filter_value_takes_an_alpha_column(filt):
+    alphas = np.logspace(-4, 0, 9)
+    theta = np.concatenate([np.logspace(-5, 0.5, 40), alphas])
+    rows = filter_value(filt, alphas[:, None], theta)
+    assert np.array_equal(rows, np.stack([filter_value(filt, a, theta) for a in alphas]))
+    alphas[3] = 0.0
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        filter_value(filt, alphas[:, None], theta)
+
+
 def test_bias_values():
     assert bias_value(tikhonov(), 1.0, 1.0) == pytest.approx(0.5)
     assert bias_value(spectral_cutoff(), 0.25, 0.5) == 0.0

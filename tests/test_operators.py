@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import svds
 
+import statinv
 from statinv import (
     DiscreteOperator,
     Grid,
@@ -251,3 +255,57 @@ def test_only_operators_without_closed_form_run_lapack_svd(monkeypatch):
     op = build_holder_kernel_operator(Grid(32), np.minimum, holder_s=1.0, volterra=False)
     assert op.factor is None
     assert calls == [(32, 32)]
+
+
+def test_owned_matrix_is_taken_over_and_frozen():
+    m = np.tril(np.ones((4, 4)))
+    op = DiscreteOperator(Grid(4), m)
+    assert op.matrix is m
+    with pytest.raises(ValueError):
+        m[0, 0] = 2.0
+
+
+def test_matrix_view_is_copied():
+    base = np.eye(8)
+    view = base[:4, :4]
+    op = DiscreteOperator(Grid(4), view)
+    assert op.matrix is not view and not op.matrix.flags.writeable
+    base[0, 0] = 5.0
+    assert op.matrix[0, 0] == 1.0
+
+
+def test_v_inverts_vtx_and_checks_the_rank(op64):
+    y = np.random.default_rng(3).standard_normal((3, 64))
+    # V is orthogonal at full rank
+    np.testing.assert_allclose(op64.v(op64.vtx(y)), y, atol=1e-12)
+    with pytest.raises(ValueError):
+        op64.v(np.ones(op64.rank + 1))
+
+
+# Functions outside operators.py that may read the dense Galerkin matrix:
+# Galerkin compression to a coarser level, and the dense reference solve.
+MATRIX_READERS = {
+    ("discretization.py", "project_operator"),
+    ("filters.py", "regularize_normal_equations"),
+}
+
+
+def _attribute_reads(tree):
+    """(attribute, enclosing top-level function or None, line) for every attribute load."""
+    for top in tree.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                yield node.attr, name, node.lineno
+
+
+def test_singular_factors_are_read_only_in_operators():
+    src = Path(statinv.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "operators.py":
+            continue
+        for attr, func, line in _attribute_reads(ast.parse(path.read_text())):
+            if attr in ("u", "vt") or (attr == "matrix" and (path.name, func) not in MATRIX_READERS):
+                offenders.append(f"{path.name}:{line} .{attr}")
+    assert offenders == [], "read the singular system through uty / vtx / v: " + ", ".join(offenders)

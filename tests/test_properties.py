@@ -1,26 +1,43 @@
-"""Property tests of the nested projections, run with fixed examples."""
+"""Property tests of the nested projections, the operator's singular system,
+the noise-level estimator and the noise streams, run with fixed examples."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from statinv import (
+    DiscreteOperator,
     Grid,
     L2Vector,
     LevelData,
     NoiseSpec,
+    Observation,
+    build_holder_kernel_operator,
     build_integration_operator,
+    draw_noise,
     embed_vector,
+    estimate_delta_sq,
     nested_level,
     observe,
     project,
+    project_operator,
     project_vector,
+    spectral_cutoff,
+    spectral_series,
+    tikhonov,
 )
+from statinv.noise import generator_for, stream_key
 from statinv.signals import make_signal
 
 # derandomized: the same examples on every run, so the suite stays deterministic
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None, database=None)
 FINE_SIZES = (64, 96, 100, 256)
 OPERATORS = {n: build_integration_operator(Grid(n)) for n in FINE_SIZES}
+SPECTRAL = {
+    "integration16": build_integration_operator(Grid(16)),
+    "integration64": OPERATORS[64],
+    "integration256": OPERATORS[256],
+    "min_kernel64": build_holder_kernel_operator(Grid(64), np.minimum, holder_s=1.0, volterra=False),
+}
 
 
 @PROPERTY
@@ -50,3 +67,80 @@ def test_project_inverts_embed_and_is_its_adjoint(n_coarse, block, seed):
     rhs = other.coeffs @ embed_vector(coarse, fine).coeffs
     scale = np.linalg.norm(other.coeffs) * np.linalg.norm(coarse.coeffs)
     assert abs(lhs - rhs) <= 1e-13 * scale
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(SPECTRAL)), st.integers(1, 6), st.data(), st.integers(0, 2**31))
+def test_singular_system_rows_equal_the_dense_products(name, rows, data, seed):
+    op = SPECTRAL[name]
+    r = op.rank
+    k = data.draw(st.integers(1, r))
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((rows, op.n))
+    w = rng.standard_normal((rows, k))
+    uty, vtx, vw = op.uty(y), op.vtx(y), op.v(w)
+    for i in range(rows):
+        assert np.array_equal(uty[i], op.u[:, :r].T @ y[i])
+        assert np.array_equal(vtx[i], op.vt[:r] @ y[i])
+        assert np.array_equal(vw[i], op.vt[:k].T @ w[i])
+
+
+@PROPERTY
+@given(
+    st.sampled_from(sorted(SPECTRAL)),
+    st.sampled_from([tikhonov(), spectral_cutoff()]),
+    st.integers(1, 6),
+    st.floats(1e-8, 1.0),
+    st.integers(0, 2**31),
+)
+def test_spectral_series_batch_rows_equal_single_rows(name, filt, rows, alpha, seed):
+    op = SPECTRAL[name]
+    y = np.random.default_rng(seed).standard_normal((rows, op.n))
+    batch = spectral_series(filt, op, y, alpha)
+    assert batch.shape == (rows, op.n)
+    for i in range(rows):
+        assert np.array_equal(batch[i], spectral_series(filt, op, y[i], alpha))
+
+
+@PROPERTY
+@given(st.integers(1, 16), st.integers(1, 4), st.integers(0, 2**31))
+def test_project_operator_is_the_galerkin_compression(n_coarse, block, seed):
+    fine, coarse = Grid(n_coarse * block), Grid(n_coarse)
+    m = np.random.default_rng(seed).standard_normal((fine.n_cells, fine.n_cells))
+    op = DiscreteOperator(fine, m)
+    # columns of E embed the coarse basis functions in the fine basis
+    e = np.column_stack([embed_vector(L2Vector(coarse, c), fine).coeffs for c in np.eye(n_coarse)])
+    np.testing.assert_allclose(
+        project_operator(op, n_coarse).matrix, e.T @ m @ e, rtol=0, atol=1e-13 * np.abs(m).max()
+    )
+
+
+@PROPERTY
+@given(st.sampled_from(FINE_SIZES), st.integers(-30, 30), st.integers(0, 2**31))
+def test_noise_estimate_scales_with_the_square_of_the_data(n, k, seed):
+    op = OPERATORS[n]
+    obs = observe(op, make_signal("smooth", op.grid), 0.05, NoiseSpec.gaussian_white(seed))
+    c = 2.0**k  # a power of two scales every rounding step exactly
+    scaled = Observation(obs.grid, obs.y_exact, obs.delta, c * obs.coeffs, obs.noise, obs.seed_used)
+    assert estimate_delta_sq(scaled) == c**2 * estimate_delta_sq(obs)
+
+
+@PROPERTY
+@given(
+    st.integers(0, 2**63),
+    st.lists(st.one_of(st.integers(0, 2**31), st.tuples(st.integers(0, 999), st.integers(0, 999))),
+             min_size=1, max_size=5),
+)
+def test_stream_key_replays(seed, replicates):
+    keys = [stream_key(seed, r) for r in replicates]
+    # no hidden state: the keys come back in any order, and an int is its 1-tuple
+    assert [stream_key(seed, r) for r in reversed(replicates)] == keys[::-1]
+    for r, key in zip(replicates, keys):
+        if isinstance(r, int):
+            assert stream_key(seed, (r,)) == stream_key(seed, np.int64(r)) == key
+    spec = NoiseSpec.gaussian_white(seed)
+    grid = Grid(16)
+    for r, key in zip(replicates, keys):
+        first = draw_noise(spec, grid, r)
+        assert np.array_equal(first, draw_noise(spec, grid, r, key=key))
+        assert np.array_equal(first, generator_for(key).standard_normal(16))
