@@ -15,10 +15,13 @@ Candidates are Tikhonov solutions at level n(alpha_j, delta), computed as
 the spectral series V_r F_alpha(s^2) s U_r^T y of the level operator through
 its ``uty`` and ``v``, so that all alphas and replicates reuse the singular
 system cached when the level is built.
-The balancing rule runs on a batch of R data rows at once (a
-:class:`LevelData`; one realization is R = 1), so the known-delta and the
-estimated-delta pipelines, and the noise-level estimator, read the same
-projected observations.
+
+Every rule takes a batch of R data rows and returns one result per row; a
+single realization is R = 1.  How a rule walks the rows is its own
+business: the balancing rule handles all R at once (a :class:`LevelData`, so
+the known-delta and the estimated-delta pipelines, and the noise-level
+estimator, read the same projected observations), while the oracle and the
+discrepancy principle share their per-batch setup and score row by row.
 """
 
 from __future__ import annotations
@@ -211,27 +214,32 @@ def oracle_choice(
     obs: Observation,
     filt: Filter,
     alpha_grid: Sequence[float],
-) -> Tuple[float, float, L2Vector]:
-    """Grid alpha minimizing the true error ||x_alpha - x_true|| (benchmark only).
+) -> list:
+    """Grid alpha minimizing the true error ||x_alpha - x_true||, per row (benchmark only).
 
-    The whole grid is scored in the right singular basis from one U^T y: the
-    solution at alpha is V_r w_alpha with w_alpha = F_alpha(s^2) s U^T y, so
-    ||x_alpha - x_true|| and ||w_alpha - V_r^T x_true|| differ only by the
-    part of x_true outside range(V_r), which is the same for every alpha.
-    The winner is then solved once by ``regularize_svd``.  Returns
-    ``(alpha, error, x_alpha)`` of that solve; ties break toward the
-    smallest alpha.
+    The whole grid is scored in the right singular basis from one U^T y per
+    row: the solution at alpha is V_r w_alpha with w_alpha = F_alpha(s^2) s
+    U^T y, so ||x_alpha - x_true|| and ||w_alpha - V_r^T x_true|| differ only
+    by the part of x_true outside range(V_r), which is the same for every
+    alpha.  V_r^T x_true and the sorted grid are computed once for the batch.
+    Each row's winner is then solved once by ``regularize_svd``.  Returns
+    ``(alpha, error, x_alpha)`` of that solve for every row of ``obs`` (one
+    realization is one row); ties break toward the smallest alpha.
     """
     alphas = np.sort(np.asarray(alpha_grid, dtype=float))
     if alphas.size == 0:
         raise ValueError("alpha grid is empty")
     s = op.s[: op.rank]
     # same product order as spectral_series, one row per alpha
-    weights = filter_value(filt, alphas[:, None], s**2) * s * op.uty(obs.coeffs)
-    scores = np.linalg.norm(weights - op.vtx(x_true.coeffs), axis=1)
-    best = float(alphas[np.argmin(scores)])  # argmin takes the first, smallest alpha
-    x = regularize_svd(filt, op, obs.coeffs, best).x_alpha
-    return best, float(np.linalg.norm(x.coeffs - x_true.coeffs)), x
+    gains = filter_value(filt, alphas[:, None], s**2) * s
+    target = op.vtx(x_true.coeffs)
+    picks = []
+    for y in np.atleast_2d(obs.coeffs):
+        scores = np.linalg.norm(gains * op.uty(y) - target, axis=1)
+        best = float(alphas[np.argmin(scores)])  # argmin takes the first, smallest alpha
+        x = regularize_svd(filt, op, y, best).x_alpha
+        picks.append((best, float(np.linalg.norm(x.coeffs - x_true.coeffs)), x))
+    return picks
 
 
 @dataclass(frozen=True)
@@ -248,14 +256,15 @@ def discrepancy_principle(
     filt: Filter,
     tau_dp: float,
     alpha_grid: Sequence[float],
-) -> DiscrepancyResult:
-    """Largest grid alpha whose residual stays within tau_dp * delta.
+) -> list:
+    """Largest grid alpha whose residual stays within tau_dp * delta, per row.
 
-    Falls back to the smallest grid alpha, with ``satisfied`` false, when no
-    alpha qualifies.  Requires noise that is bounded in norm (dirac or
-    scaled_rv); white-noise observations are rejected because their residual
-    norm diverges with the discretization level and the rule loses its
-    meaning.
+    Returns one result for every row of ``obs`` (one realization is one
+    row).  A row falls back to the smallest grid alpha, with ``satisfied``
+    false, when no alpha qualifies.  Requires noise that is bounded in norm
+    (dirac or scaled_rv); white-noise observations are rejected because
+    their residual norm diverges with the discretization level and the rule
+    loses its meaning.
     """
     if tau_dp <= 1.0:
         raise ValueError("tau_dp must be > 1")
@@ -268,17 +277,22 @@ def discrepancy_principle(
     if alphas.size == 0:
         raise ValueError("alpha grid is empty")
     threshold = tau_dp * obs.delta
-    for a in alphas[::-1]:
-        sol = regularize_svd(filt, op, obs.coeffs, a)
-        if sol.residual_norm <= threshold:
-            break
-    # without a break, sol is the solve at the smallest alpha: the fallback
-    return DiscrepancyResult(
-        alpha=sol.alpha,
-        satisfied=sol.residual_norm <= threshold,
-        residual=sol.residual_norm,
-        x_alpha=sol.x_alpha,
-    )
+    results = []
+    for y in np.atleast_2d(obs.coeffs):
+        for a in alphas[::-1]:
+            sol = regularize_svd(filt, op, y, a)
+            if sol.residual_norm <= threshold:
+                break
+        # without a break, sol is the solve at the smallest alpha: the fallback
+        results.append(
+            DiscrepancyResult(
+                alpha=sol.alpha,
+                satisfied=sol.residual_norm <= threshold,
+                residual=sol.residual_norm,
+                x_alpha=sol.x_alpha,
+            )
+        )
+    return results
 
 
 @dataclass
@@ -441,19 +455,8 @@ def data_driven_choose(
     estimate.  Returns the estimates, the Lepskii results and the chosen
     solution of each row.  A non-converged estimate is flagged but still used.
     """
-    estimates = [
-        refine_delta_hat(
-            op,
-            raw_data.row(i),
-            tau=est_cfg.tau,
-            p=est_cfg.p,
-            eps=est_cfg.eps,
-            m_window=est_cfg.m_window,
-            sched=sched,
-            n0=est_cfg.n0,
-        )
-        for i in range(raw_data.rows)
-    ]
+    rows = range(raw_data.rows)
+    estimates = [refine_delta_hat(op, raw_data.row(i), est_cfg, sched) for i in rows]
     # a zero estimate (constant data) is floored so that the alpha grid exists
     deltas = [e.delta_hat if e.delta_hat > 0.0 else 1e-12 for e in estimates]
     cfgs = [lep_cfg_template.with_delta(d) for d in deltas]

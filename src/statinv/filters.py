@@ -6,7 +6,7 @@ valid family satisfies
 
 1. b_alpha(s_j^2) -> 0 as alpha -> 0 for every singular value s_j > 0;
 2. |b_alpha(s_j^2)| <= gamma0 uniformly;
-3. s_j |F_alpha(s_j^2)| < gamma_star / sqrt(alpha);
+3. s_j |F_alpha(s_j^2)| <= gamma_star / sqrt(alpha);
 
 together with the stricter sup bound sup_theta |F_alpha(theta)| <= gamma/alpha
 that makes the mean squared error finite for Hilbert-Schmidt operators.
@@ -232,7 +232,7 @@ def verify_filter_properties(
     # (1) pointwise vanishing bias, checked monotonically along decreasing alpha
     bias = np.abs(np.vstack([bias_value(filt, a, theta_j) for a in alphas]))
     monotone = np.all(bias[1:] <= bias[:-1] + 1e-12)
-    resolvable = theta_j >= alphas[-1]
+    resolvable = theta_j > alphas[-1]
     b_hi, b_lo = bias[0][resolvable], bias[-1][resolvable]
     vanishing = np.all((b_lo <= 0.9 * b_hi + 1e-12) | (b_hi <= 1e-12))
     bias_vanishes = bool(monotone and vanishing)
@@ -245,13 +245,14 @@ def verify_filter_properties(
     if not bias_bounded:
         failures.append("bias_bounded")
 
-    # (3) normalization s |F_alpha(s^2)| < gamma_star / sqrt(alpha), strict
+    # (3) normalization s |F_alpha(s^2)| <= gamma_star / sqrt(alpha); Tikhonov
+    # attains gamma_star = 1/2 where s^2 = alpha
     margins = []
     for a in alphas:
         lhs = s * np.abs(filter_value(filt, a, theta_j))
         margins.append(np.max(lhs * np.sqrt(a)))
     max_norm_margin = float(np.max(margins))
-    normalization = max_norm_margin < filt.gamma_star
+    normalization = max_norm_margin <= filt.gamma_star * (1.0 + 1e-12)
     if not normalization:
         failures.append("normalization")
 
@@ -299,8 +300,5 @@ def monte_carlo_variance(
     spec = NoiseSpec.gaussian_white(seed)
     s = op.s[: op.rank]
     weights = filter_value(filt, alpha, s**2) * s
-    total = 0.0
-    for rep in range(replicates):
-        xi = draw_noise(spec, op.grid, rep)
-        total += float(np.sum((weights * op.uty(xi)) ** 2))
-    return total / replicates
+    xi = np.stack([draw_noise(spec, op.grid, rep) for rep in range(replicates)])
+    return float(np.mean(np.sum((weights * op.uty(xi)) ** 2, axis=-1)))

@@ -365,9 +365,9 @@ class Choice:
 def choose(study: Study, method: str, data: LevelData) -> list:
     """Run ``method`` on every row of a batch of ``study``; the one dispatch over ``METHODS``.
 
-    Returns one ``Choice`` per row.  The oracle and the discrepancy principle
-    run row by row; the Lepskii methods balance the whole batch at once.
-    ``study.x_true`` is read by the oracle and for the Lepskii ``best_error``.
+    Returns one ``Choice`` per row.  Every rule takes the whole batch in one
+    call and returns one result per row.  ``study.x_true`` is read by the
+    oracle and for the Lepskii ``best_error``.
     """
     cfg, op, x_true, fine = study.cfg, study.op, study.x_true, data.fine
     template = LepskiiConfig(
@@ -375,12 +375,10 @@ def choose(study: Study, method: str, data: LevelData) -> list:
     )
     filt = tikhonov()
     if method == "oracle":
-        alphas = template.alphas
-        picks = [oracle_choice(op, x_true, fine.row(i), filt, alphas) for i in range(fine.rows)]
+        picks = oracle_choice(op, x_true, fine, filt, template.alphas)
         return [Choice(alpha=alpha, x=x) for alpha, _, x in picks]
     if method == "discrepancy":
-        alphas = template.alphas
-        dps = [discrepancy_principle(op, fine.row(i), filt, cfg.tau_dp, alphas) for i in range(fine.rows)]
+        dps = discrepancy_principle(op, fine, filt, cfg.tau_dp, template.alphas)
         return [
             Choice(
                 alpha=dp.alpha,
@@ -454,14 +452,10 @@ def run_bias_variance_check(
     bias_vec = x_true.coeffs - regularize_svd(filt, op, y, alpha).x_alpha.coeffs
     bias_sq = float(np.sum(bias_vec**2))
     spec = NoiseSpec.gaussian_white(seed)
-    d_samples = np.empty(replicates)
-    v_samples = np.empty(replicates)
-    for rep in range(replicates):
-        xi = draw_noise(spec, op.grid, rep)
-        r_xi = spectral_series(filt, op, xi, alpha)
-        err_sq = float(np.sum((bias_vec - delta * r_xi) ** 2))
-        v_samples[rep] = float(np.sum(r_xi**2))
-        d_samples[rep] = err_sq - delta**2 * v_samples[rep]
+    xi = np.stack([draw_noise(spec, op.grid, rep) for rep in range(replicates)])
+    r_xi = spectral_series(filt, op, xi, alpha)  # (R, n), row i that of xi_i alone
+    v_samples = np.sum(r_xi**2, axis=-1)
+    d_samples = np.sum((bias_vec - delta * r_xi) ** 2, axis=-1) - delta**2 * v_samples
     v_hat = float(np.mean(v_samples))
     # means centred at bias^2: exact when every sample equals it (delta = 0),
     # where averaging the raw samples can round off by an ulp

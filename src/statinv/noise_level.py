@@ -9,6 +9,10 @@ values carry the sqrt(n)-amplified noise sqrt(n) * delta * eps_j, which is
 exactly what makes the 1/(2 n^2) prefactor consistent: for pure white noise
 E[dts_n] = delta^2 (n-1)/n, while a Hoelder-s exact part contributes only
 O(n^-(1+2s)).  The scaled estimate is delta_hat = tau * sqrt(dts_n), tau > 1.
+
+``estimate_delta_sq`` and ``omega_plus_rate`` read a batch of R realizations
+as one (R, n) array; ``refine_delta_hat`` follows one realization through
+its levels.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .discretization import LevelSchedule, project
 from .errors import DataUnavailableError, require_finite
 from .grid import L2Vector
 from .noise import NoiseSpec, Observation, observe, pointwise_values
-from .operators import DiscreteOperator
+from .operators import DiscreteOperator, apply
 
 __all__ = [
     "NoiseEstimate",
@@ -97,49 +101,41 @@ class EstimatorConfig:
             raise ValueError("n0 must be >= 2")
 
 
-def estimate_delta_sq(obs: Observation) -> float:
-    """The first-difference estimate of delta^2 at the observation's level."""
-    if obs.coeffs.ndim != 1:
-        raise ValueError("estimate_delta_sq takes one realization; use obs.row(i)")
+def estimate_delta_sq(obs: Observation):
+    """The first-difference estimate of delta^2 at the observation's level.
+
+    Works along the last axis: a float for one realization, an (R,) array
+    for a batch, each entry bit-equal to the estimate of its row alone.
+    """
     n = obs.n
     if n < 2:
         raise ValueError("estimation needs at least two cells")
     values = pointwise_values(obs)
-    return float(np.sum(np.diff(values) ** 2) / (2.0 * n * n))
+    out = np.sum(np.diff(values, axis=-1) ** 2, axis=-1) / (2.0 * n * n)
+    return float(out) if out.ndim == 0 else out
 
 
 def refine_delta_hat(
     op: DiscreteOperator,
     raw_data: Callable[[int], Observation],
-    tau: float,
-    p: float,
-    eps: float,
-    m_window: int,
+    est: EstimatorConfig,
     sched: LevelSchedule,
     *,
-    n0: int = 16,
     max_iterations: int = MAX_REFINE_ITERATIONS,
 ) -> NoiseEstimate:
     """Fixed-point refinement of delta_hat over growing discretization levels.
 
-    Each pass estimates delta_hat at the current level n, sets
-    alpha = delta_hat^2 and requests the next level max(n(alpha, delta_hat),
-    ceil(p * n)).  The loop always runs ``m_window`` passes, then stops once
-    the trailing window of estimates spreads by at most ``eps * delta_hat``.
-    If the schedule requests a level beyond ``sched.n_max`` or the data
-    source cannot supply it, the loop stops with ``converged=False`` and the
-    last estimate is returned.
+    ``raw_data`` supplies one realization at a requested level.  Starting at
+    level ``est.n0``, each pass estimates delta_hat = tau * sqrt(dts_n) at
+    the current level n, sets alpha = delta_hat^2 and requests the next
+    level max(n(alpha, delta_hat), ceil(p * n)).  The loop always runs
+    ``m_window`` passes, then stops once the trailing window of estimates
+    spreads by at most ``eps * delta_hat``.  If the schedule requests a
+    level beyond ``sched.n_max`` or the data source cannot supply it, the
+    loop stops with ``converged=False`` and the last estimate is returned.
     """
-    if tau <= 1.0:
-        raise ValueError("tau must be > 1")
-    if p <= 1.0:
-        raise ValueError("p must be > 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if m_window < 1:
-        raise ValueError("m_window must be >= 1")
-
-    n = max(2, int(n0))
+    tau, p, eps, m_window = est.tau, est.p, est.eps, est.m_window
+    n = est.n0
     history = []
     converged = False
     delta_tilde_sq = 0.0
@@ -210,12 +206,12 @@ def omega_plus_rate(
         raise ValueError(f"level {n} is not nested in the operator grid {op.n}")
     if spec is None:
         spec = NoiseSpec.gaussian_white(seed)
-    hits = 0
-    for rep in range(replicates):
-        obs = observe(op, x_true, delta, spec, replicate=rep)
-        delta_hat = tau * np.sqrt(estimate_delta_sq(project(obs, n)))
-        if delta <= delta_hat <= K * tau * delta:
-            hits += 1
+    y = apply(op, x_true)
+    obs = Observation.stack(
+        observe(op, x_true, delta, spec, replicate=rep, y_exact=y) for rep in range(replicates)
+    )
+    delta_hat = tau * np.sqrt(estimate_delta_sq(project(obs, n)))
+    hits = int(np.count_nonzero((delta <= delta_hat) & (delta_hat <= K * tau * delta)))
     return ConcentrationReport(
         delta_true=float(delta),
         K=float(K),

@@ -303,4 +303,8 @@ def discretization_defect(op: DiscreteOperator, full_op: DiscreteOperator) -> fl
     # Q replaces each fine row by the mean of its coarse cell's row block
     blocks = full_op.matrix.reshape(n_c, n_f // n_c, n_f)
     residual = (blocks - blocks.mean(axis=1, keepdims=True)).reshape(n_f, n_f)
-    return float(np.linalg.svd(residual, compute_uv=False)[0])
+    if not np.any(residual):
+        return 0.0  # ARPACK stops on a zero operator: "Starting vector is zero"
+    from scipy.sparse.linalg import svds  # keep scipy off the import path
+
+    return float(svds(residual, k=1, v0=np.ones(n_f), return_singular_vectors=False)[0])

@@ -1,0 +1,72 @@
+"""The traced benchmark child still fits the package.
+
+``benchmarks/converge_child.py`` wraps named ``statinv`` entry points and
+reads fields of their results.  These tests run it on tiny veto and oracle
+studies, so a renamed entry point or a changed result shows up here rather
+than only in the benchmark's smoke runs.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+STUDIES = {
+    "veto": """
+operator.n = 64
+signal.kind = source
+signal.amplitude = 10.0
+delta_list = 0.1, 0.05
+replicates = 3
+seed = 11
+method = lepskii_estimated_delta
+study = veto
+schedule.c2 = 0.0
+schedule.n_max = 64
+""",
+    "oracle": """
+operator.n = 64
+signal.kind = smooth
+delta_list = 0.1, 0.05
+replicates = 3
+seed = 7
+method = oracle
+study = mse
+schedule.c2 = 0.0
+schedule.n_max = 64
+""",
+}
+
+
+def _traced_record(tmp_path, name):
+    cfg, out, record = (tmp_path / f"{name}{ext}" for ext in (".cfg", ".csv", ".json"))
+    cfg.write_text(STUDIES[name])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    child = ROOT / "benchmarks" / "converge_child.py"
+    subprocess.run(
+        [sys.executable, str(child), str(record), "1", "converge", "--config", str(cfg), "--out", str(out)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(record.read_text())
+
+
+def _spans(record, name):
+    return sum(1 for span in record["spans"] if record["names"][span[0]] == name)
+
+
+@pytest.mark.parametrize("name", sorted(STUDIES))
+def test_every_traced_entry_point_but_the_retired_solver_exists(tmp_path, name):
+    record = _traced_record(tmp_path, name)
+    # LevelSolverCache.solver went with the per-level Tikhonov solvers
+    assert record["missing"] == ["choice.LevelSolverCache.solver"]
+    if name == "veto":
+        assert record["refine"]["calls"] > 0
+        assert record["refine"]["iterations"] > 0
+        assert record["lepskii"]["candidates"] > 0
+    else:
+        assert _spans(record, "filters.regularize_svd") > 0

@@ -5,16 +5,19 @@ from statinv import (
     Filter,
     Grid,
     L2Vector,
+    NoiseSpec,
     apply,
     bias_value,
     build_integration_operator,
     convergence_to_pseudoinverse,
+    draw_noise,
     filter_value,
     generalized_inverse_apply,
     monte_carlo_variance,
     regularize_normal_equations,
     regularize_svd,
     spectral_cutoff,
+    spectral_series,
     tikhonov,
     variance_bound,
     verify_filter_properties,
@@ -229,3 +232,14 @@ def test_variance_bound_monte_carlo(filt, op64):
     alpha = 1e-2
     v_hat = monte_carlo_variance(filt, op64, alpha, replicates=200, seed=31)
     assert v_hat <= variance_bound(filt, op64, alpha)
+
+
+@pytest.mark.parametrize("filt", [tikhonov(), spectral_cutoff()])
+def test_monte_carlo_variance_matches_the_replicate_loop(filt, op64):
+    # reference: one ||R_alpha xi||^2 per replicate; the batch mean sums the
+    # same terms in another order, so they agree to rounding
+    alpha, reps, spec = 1e-2, 50, NoiseSpec.gaussian_white(31)
+    xis = [draw_noise(spec, op64.grid, rep) for rep in range(reps)]
+    loop = sum(float(np.sum(spectral_series(filt, op64, xi, alpha) ** 2)) for xi in xis) / reps
+    v_hat = monte_carlo_variance(filt, op64, alpha, replicates=reps, seed=31)
+    assert v_hat == pytest.approx(loop, rel=1e-12)

@@ -15,14 +15,19 @@ from statinv import (
     LepskiiConfig,
     LevelData,
     LevelSchedule,
+    NoiseSpec,
+    apply,
     build_integration_operator,
+    draw_noise,
     parse_config,
     run_bias_variance_check,
     lepskii_choose,
     observe,
+    regularize_svd,
     run_mse_study,
     run_study,
     run_veto_study,
+    spectral_series,
     tikhonov,
     variance_bound,
     write_mse_csv,
@@ -359,6 +364,23 @@ def test_bias_variance_smooth_signal(op64):
     report = run_bias_variance_check(op64, x, tikhonov(), 1e-2, 0.05, 500, seed=9)
     assert report.within_4se
     assert report.bound_ok
+
+
+def test_bias_variance_samples_match_the_replicate_loop(op64):
+    # reference: the samples drawn and reduced one replicate at a time
+    x = make_signal("smooth", op64.grid)
+    alpha, delta, reps, spec = 1e-2, 0.05, 40, NoiseSpec.gaussian_white(9)
+    report = run_bias_variance_check(op64, x, tikhonov(), alpha, delta, reps, seed=9)
+    y = apply(op64, x).coeffs
+    bias = x.coeffs - regularize_svd(tikhonov(), op64, y, alpha).x_alpha.coeffs
+    v, d = np.empty(reps), np.empty(reps)
+    for rep in range(reps):
+        r_xi = spectral_series(tikhonov(), op64, draw_noise(spec, op64.grid, rep), alpha)
+        v[rep] = float(np.sum(r_xi**2))
+        d[rep] = float(np.sum((bias - delta * r_xi) ** 2)) - delta**2 * v[rep]
+    assert report.v_hat == float(np.mean(v))
+    assert report.identity_gap == abs(float(np.mean(d - report.bias_sq)))
+    assert report.standard_error == float(np.std(d, ddof=1) / np.sqrt(reps))
 
 
 def test_veto_study_smoke():

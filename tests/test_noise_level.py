@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from statinv import (
+    EstimatorConfig,
     Grid,
     L2Vector,
     LevelData,
@@ -12,6 +13,7 @@ from statinv import (
     estimate_delta_sq,
     observe,
     omega_plus_rate,
+    project,
     refine_delta_hat,
 )
 from statinv.signals import make_signal
@@ -51,15 +53,18 @@ def test_estimate_needs_two_cells():
         estimate_delta_sq(obs)
 
 
-def test_estimate_takes_one_row_of_a_batch(op64):
+def test_estimate_batch_rows_equal_single_rows(op64):
     x = make_signal("smooth", op64.grid)
     spec = NoiseSpec.gaussian_white(seed=4)
     rows = [observe(op64, x, 0.1, spec, replicate=rep) for rep in range(3)]
     batch = Observation.stack(rows)
-    with pytest.raises(ValueError, match="one realization"):
-        estimate_delta_sq(batch)
+    estimates = estimate_delta_sq(batch)
+    assert estimates.shape == (3,)
     for i, obs in enumerate(rows):
-        assert estimate_delta_sq(batch.row(i)) == estimate_delta_sq(obs)
+        single = estimate_delta_sq(obs)
+        assert isinstance(single, float)
+        assert estimates[i] == single
+        assert estimate_delta_sq(batch.row(i)) == single
 
 
 def test_pure_noise_expectation(op512):
@@ -110,9 +115,7 @@ def test_scale_equivariance():
 def test_refine_stops_at_window_fill_with_huge_eps(op1024):
     x = make_signal("smooth", op1024.grid)
     obs = observe(op1024, x, 0.05, NoiseSpec.gaussian_white(seed=11))
-    est = refine_delta_hat(
-        op1024, LevelData(obs), tau=1.5, p=2.0, eps=1e6, m_window=3, sched=SCHED, n0=16
-    )
+    est = refine_delta_hat(op1024, LevelData(obs), EstimatorConfig(eps=1e6), SCHED)
     assert est.iterations == 3
     assert est.converged
 
@@ -120,24 +123,17 @@ def test_refine_stops_at_window_fill_with_huge_eps(op1024):
 def test_refine_noiseless_hits_cap(op1024):
     x = make_signal("smooth", op1024.grid)
     data = LevelData(_noiseless_obs(op1024, x))
-    est = refine_delta_hat(
-        op1024, data, tau=1.5, p=2.0, eps=0.1, m_window=3, sched=SCHED, n0=16
-    )
+    est = refine_delta_hat(op1024, data, EstimatorConfig(), SCHED)
     assert not est.converged
     assert est.delta_hat < 1e-3  # bias-only estimate keeps shrinking
     assert est.n_used == 1024
 
 
-def test_refine_validation(op64):
-    data = LevelData(_noiseless_obs(op64, make_signal("smooth", op64.grid)))
-    with pytest.raises(ValueError):
-        refine_delta_hat(op64, data, tau=1.0, p=2.0, eps=0.1, m_window=3, sched=SCHED)
-    with pytest.raises(ValueError):
-        refine_delta_hat(op64, data, tau=1.5, p=1.0, eps=0.1, m_window=3, sched=SCHED)
-    with pytest.raises(ValueError):
-        refine_delta_hat(op64, data, tau=1.5, p=2.0, eps=0.0, m_window=3, sched=SCHED)
-    with pytest.raises(ValueError):
-        refine_delta_hat(op64, data, tau=1.5, p=2.0, eps=0.1, m_window=0, sched=SCHED)
+def test_estimator_config_validation():
+    # refine_delta_hat reads its knobs from an EstimatorConfig, which rejects these
+    for bad in ({"tau": 1.0}, {"p": 1.0}, {"eps": 0.0}, {"m_window": 0}):
+        with pytest.raises(ValueError):
+            EstimatorConfig(**bad)
 
 
 def test_refine_concentrates(op1024):
@@ -148,10 +144,7 @@ def test_refine_concentrates(op1024):
     hits = 0
     for rep in range(runs):
         obs = observe(op1024, x, delta, spec, replicate=rep)
-        est = refine_delta_hat(
-            op1024, LevelData(obs), tau=tau, p=2.0, eps=0.1, m_window=3,
-            sched=SCHED, n0=16,
-        )
+        est = refine_delta_hat(op1024, LevelData(obs), EstimatorConfig(tau=tau, K=K), SCHED)
         if delta <= est.delta_hat <= K * tau * delta:
             hits += 1
     assert hits / runs >= 0.95
@@ -177,3 +170,18 @@ def test_omega_plus_miss_rate_improves_with_n(op512):
     fine = omega_plus_rate(op512, x, 0.1, 1.5, 3.0, 512, replicates=500, seed=9)
     assert (1 - fine.hit_rate) <= (1 - coarse.hit_rate)
     assert coarse.n == 64 and fine.n == 512
+
+
+def test_omega_plus_counts_the_replicate_loop(op64):
+    # reference: one observation, projection and estimate per replicate
+    x = make_signal("smooth", op64.grid)
+    delta, tau, K, n, reps = 0.1, 1.5, 1.2, 16, 60
+    spec = NoiseSpec.gaussian_white(seed=5)
+    hits = 0
+    for rep in range(reps):
+        obs = observe(op64, x, delta, spec, replicate=rep)
+        delta_hat = tau * np.sqrt(estimate_delta_sq(project(obs, n)))
+        hits += int(delta <= delta_hat <= K * tau * delta)
+    report = omega_plus_rate(op64, x, delta, tau, K, n, replicates=reps, seed=5)
+    assert 0 < hits < reps
+    assert report.hit_rate == hits / reps

@@ -1,8 +1,9 @@
 """Property tests of the nested projections, the operator's singular system,
-the noise-level estimator and the noise streams, run with fixed examples."""
+the filter laws, the noise-level estimator and the noise streams, run with
+fixed examples."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from statinv import (
     DiscreteOperator,
@@ -24,6 +25,7 @@ from statinv import (
     spectral_cutoff,
     spectral_series,
     tikhonov,
+    verify_filter_properties,
 )
 from statinv.noise import generator_for, stream_key
 from statinv.signals import make_signal
@@ -144,3 +146,20 @@ def test_stream_key_replays(seed, replicates):
         first = draw_noise(spec, grid, r)
         assert np.array_equal(first, draw_noise(spec, grid, r, key=key))
         assert np.array_equal(first, generator_for(key).standard_normal(16))
+
+
+@PROPERTY
+@given(
+    st.lists(st.floats(1e-3, 1e2), min_size=1, max_size=40),
+    st.lists(st.floats(1e-6, 1e4), min_size=1, max_size=12),
+)
+# a squared singular value on the grid: Tikhonov's normalization is attained
+# there, and the cut-off cannot witness law (1) at the smallest alpha
+@example([100.0, 0.5], [1e4, 0.25])
+def test_filter_laws_hold_on_random_spectra(spectrum, alpha_grid):
+    # law (1) can only show on a grid that spans some range of alpha
+    assume(min(alpha_grid) <= 0.5 * max(alpha_grid))
+    op = DiscreteOperator(Grid(len(spectrum)), np.diag(spectrum))
+    for filt in (tikhonov(), spectral_cutoff()):
+        report = verify_filter_properties(filt, op, alpha_grid, n_theta=200)
+        assert report.all_passed, (filt.kind, report.failures)
