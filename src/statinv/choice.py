@@ -450,13 +450,15 @@ def data_driven_choose(
 ) -> Tuple[list, LepskiiResult, list]:
     """Fully data-driven pipeline: estimate delta_hat per row, then balance with it.
 
-    Each row's delta_hat comes from ``refine_delta_hat`` on that row alone;
-    one batched ``lepskii_choose`` call then balances every row with its own
-    estimate.  Returns the estimates, the Lepskii results and the chosen
-    solution of each row.  A non-converged estimate is flagged but still used.
+    Each row's delta_hat comes from one ``refine_delta_hat`` call on that
+    row, which reads the batch estimates ``raw_data`` caches per level, so
+    every level's estimate is computed once for all rows; one batched
+    ``lepskii_choose`` call then balances every row with its own estimate.
+    Returns the estimates, the Lepskii results and the chosen solution of
+    each row.  A non-converged estimate is flagged but still used.
     """
     rows = range(raw_data.rows)
-    estimates = [refine_delta_hat(op, raw_data.row(i), est_cfg, sched) for i in rows]
+    estimates = [refine_delta_hat(op, raw_data, est_cfg, sched, row=i) for i in rows]
     # a zero estimate (constant data) is floored so that the alpha grid exists
     deltas = [e.delta_hat if e.delta_hat > 0.0 else 1e-12 for e in estimates]
     cfgs = [lep_cfg_template.with_delta(d) for d in deltas]

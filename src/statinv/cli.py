@@ -85,7 +85,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
 def _cmd_estimate_noise(cfg: ExperimentConfig) -> int:
     study = build_study(cfg)
     data = study.batch(0, [0])
-    result = refine_delta_hat(study.op, data.row(0), cfg.estimator, study.sched)
+    result = refine_delta_hat(study.op, data, cfg.estimator, study.sched)
     print(f"delta_tilde_sq = {result.delta_tilde_sq:.17g}")
     print(f"delta_hat      = {result.delta_hat:.17g}")
     print(f"n_used         = {result.n_used}")

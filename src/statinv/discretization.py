@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -184,7 +183,9 @@ def project_operator(op_fine: DiscreteOperator, n_coarse: int) -> DiscreteOperat
     Because the coarse basis lies in the fine span, compressing the fine
     Galerkin matrix reproduces the coarse Galerkin matrix of the same
     operator up to rounding.  The fine operator's ``factor``, when it has
-    one, supplies the coarse singular system.
+    one, supplies the coarse singular system, and the compression is then
+    deferred until something reads the coarse ``matrix``; an operator
+    without a factor compresses at once for its dense SVD.
     """
     n_fine = op_fine.n
     if n_fine % n_coarse != 0:
@@ -192,9 +193,15 @@ def project_operator(op_fine: DiscreteOperator, n_coarse: int) -> DiscreteOperat
     if n_coarse == n_fine:
         return op_fine
     block = n_fine // n_coarse
-    m = op_fine.matrix.reshape(n_coarse, block, n_coarse, block).sum(axis=(1, 3))
-    m *= n_coarse / n_fine
-    return DiscreteOperator(Grid(n_coarse), m, holder_s=op_fine.holder_s, factor=op_fine.factor)
+
+    def compressed():
+        m = op_fine.matrix.reshape(n_coarse, block, n_coarse, block).sum(axis=(1, 3))
+        m *= n_coarse / n_fine
+        return m
+
+    return DiscreteOperator(
+        Grid(n_coarse), compressed, holder_s=op_fine.holder_s, factor=op_fine.factor
+    )
 
 
 class LevelData:
@@ -204,12 +211,14 @@ class LevelData:
     observation is the case R = 1).  Requested levels are rounded up to the
     nearest nested one, and each level is projected once for the whole batch;
     requests beyond the fine grid raise :class:`DataUnavailableError`.
+    :meth:`per_level` caches a statistic of the whole batch per level.
     """
 
     def __init__(self, obs_fine: Observation):
         self._obs = obs_fine
         self._cache = {obs_fine.n: obs_fine}
         self._levels = {}  # requested level -> nested level
+        self._stats = {}  # (statistic, nested level) -> its value on the batch
 
     @property
     def n_fine(self) -> int:
@@ -235,6 +244,9 @@ class LevelData:
             self._cache[level] = project(self._obs, level)
         return self._cache[level]
 
-    def row(self, i: int) -> Callable[[int], Observation]:
-        """Data source of realization ``i`` alone, read from the batch's levels."""
-        return lambda n_requested: self(n_requested).row(i)
+    def per_level(self, stat, n_requested: int):
+        """``stat`` of the whole batch at the level serving ``n_requested``, computed once."""
+        key = (stat, self.level(n_requested))
+        if key not in self._stats:
+            self._stats[key] = stat(self(n_requested))
+        return self._stats[key]

@@ -115,6 +115,11 @@ class ExperimentConfig:
         self.delta_list = deltas
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
+        if self.estimator.n0 > self.operator_n:
+            # the estimator's first level would not exist and its delta_hat would read 0
+            raise ConfigError(
+                f"estimator.n0 = {self.estimator.n0} exceeds operator.n = {self.operator_n}"
+            )
         self.epsilons = tuple(float(e) for e in self.epsilons)
 
 

@@ -11,19 +11,20 @@ E[dts_n] = delta^2 (n-1)/n, while a Hoelder-s exact part contributes only
 O(n^-(1+2s)).  The scaled estimate is delta_hat = tau * sqrt(dts_n), tau > 1.
 
 ``estimate_delta_sq`` and ``omega_plus_rate`` read a batch of R realizations
-as one (R, n) array; ``refine_delta_hat`` follows one realization through
-its levels.
+as one (R, n) array.  ``refine_delta_hat`` follows one row of a
+:class:`LevelData` batch through its levels; the batch estimate of each level
+is computed once, on the whole (R, n_level) block, and cached on the
+``LevelData``, so the rows of a batch share it.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .discretization import LevelSchedule, project
+from .discretization import LevelData, LevelSchedule, project
 from .errors import DataUnavailableError, require_finite
 from .grid import L2Vector
 from .noise import NoiseSpec, Observation, observe, pointwise_values
@@ -117,15 +118,18 @@ def estimate_delta_sq(obs: Observation):
 
 def refine_delta_hat(
     op: DiscreteOperator,
-    raw_data: Callable[[int], Observation],
+    data: LevelData,
     est: EstimatorConfig,
     sched: LevelSchedule,
+    row: int = 0,
     *,
     max_iterations: int = MAX_REFINE_ITERATIONS,
 ) -> NoiseEstimate:
     """Fixed-point refinement of delta_hat over growing discretization levels.
 
-    ``raw_data`` supplies one realization at a requested level.  Starting at
+    Follows realization ``row`` of the batch ``data``; its estimate at a
+    level is entry ``row`` of the batch estimate that ``data`` caches per
+    level, bit-equal to the estimate of that row alone.  Starting at
     level ``est.n0``, each pass estimates delta_hat = tau * sqrt(dts_n) at
     the current level n, sets alpha = delta_hat^2 and requests the next
     level max(n(alpha, delta_hat), ceil(p * n)).  The loop always runs
@@ -144,13 +148,13 @@ def refine_delta_hat(
     while True:
         k += 1
         try:
-            obs = raw_data(n)
+            level = data.level(n)
         except DataUnavailableError:
             break
-        if op.grid.n_cells % obs.n != 0:
+        if op.grid.n_cells % level != 0:
             raise ValueError("observation level is not nested in the operator grid")
-        n_used = obs.n
-        delta_tilde_sq = estimate_delta_sq(obs)
+        n_used = level
+        delta_tilde_sq = np.atleast_1d(data.per_level(estimate_delta_sq, level))[row]
         delta_hat = tau * np.sqrt(delta_tilde_sq)
         history.append(delta_hat)
         if k >= m_window:

@@ -17,6 +17,9 @@ operator through :func:`apply`; how the factors are stored is this module's
 business.  The dense ``matrix`` is read elsewhere only by
 ``discretization.project_operator`` (Galerkin compression to a coarser level)
 and by ``filters.regularize_normal_equations`` (the dense reference solve).
+An operator may receive its matrix as a callable and build it on first
+read; projected integration levels do, so a level whose matrix is never
+read never builds it.
 """
 
 from __future__ import annotations
@@ -55,10 +58,12 @@ class DiscreteOperator:
 
     Parameters
     ----------
-    matrix : array_like, shape (n, n)
+    matrix : array_like, shape (n, n), or callable () -> array_like
         Taken over without a copy when it is a float array that owns its
         data, and then made read-only in place; views and foreign buffers
-        are copied.
+        are copied.  A callable defers the matrix: it is called on the first
+        read of ``matrix``, whose result is taken over by the same rule.  An
+        operator without a ``factor`` reads it at once for its SVD.
     factor : callable n -> (u, s, vt), optional
         Closed-form singular system of ``matrix``.  It is kept on the operator
         and handed on by :func:`discretization.project_operator` to every
@@ -71,7 +76,8 @@ class DiscreteOperator:
     ----------
     grid : Grid
     matrix : ndarray, shape (n, n)
-        Action of the operator in the indicator basis.
+        Action of the operator in the indicator basis, built on first read
+        when it was given as a callable.
     u, s, vt : ndarray
         Cached SVD, ``matrix = u @ diag(s) @ vt`` with ``s`` nonincreasing.
     hs_norm : float
@@ -84,7 +90,7 @@ class DiscreteOperator:
         The ``factor`` the operator was built with.
     """
 
-    __slots__ = ("grid", "matrix", "u", "s", "vt", "hs_norm", "rank", "holder_s", "factor")
+    __slots__ = ("grid", "_matrix", "u", "s", "vt", "hs_norm", "rank", "holder_s", "factor")
 
     def __init__(
         self,
@@ -93,16 +99,10 @@ class DiscreteOperator:
         holder_s: Optional[float] = None,
         factor: Optional[Callable[[int], Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None,
     ):
-        matrix = np.asarray(matrix, dtype=float)
         n = grid.n_cells
-        if matrix.shape != (n, n):
-            raise ValueError(f"matrix has shape {matrix.shape}, expected ({n}, {n})")
-        if not matrix.flags.owndata:
-            matrix = matrix.copy()
-        matrix.setflags(write=False)
-        u, s, vt = np.linalg.svd(matrix) if factor is None else factor(n)
         self.grid = grid
-        self.matrix = matrix
+        self._matrix = matrix if callable(matrix) else _frozen(matrix, n)
+        u, s, vt = np.linalg.svd(self.matrix) if factor is None else factor(n)
         self.u = u
         self.s = s
         self.vt = vt
@@ -113,6 +113,12 @@ class DiscreteOperator:
             self.rank = 0
         self.holder_s = holder_s
         self.factor = factor
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if callable(self._matrix):
+            self._matrix = _frozen(self._matrix(), self.n)
+        return self._matrix
 
     @property
     def n(self) -> int:
@@ -140,6 +146,17 @@ class DiscreteOperator:
 
     def __repr__(self):
         return f"DiscreteOperator(n={self.n}, s1={self.norm:.6g}, rank={self.rank})"
+
+
+def _frozen(matrix, n: int) -> np.ndarray:
+    """``matrix`` as an owned, read-only (n, n) float array, copied only if needed."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape != (n, n):
+        raise ValueError(f"matrix has shape {matrix.shape}, expected ({n}, {n})")
+    if not matrix.flags.owndata:
+        matrix = matrix.copy()
+    matrix.setflags(write=False)
+    return matrix
 
 
 def _stacked(y, a: np.ndarray) -> np.ndarray:

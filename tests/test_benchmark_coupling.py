@@ -68,5 +68,7 @@ def test_every_traced_entry_point_but_the_retired_solver_exists(tmp_path, name):
         assert record["refine"]["calls"] > 0
         assert record["refine"]["iterations"] > 0
         assert record["lepskii"]["candidates"] > 0
+        # coarse levels are built inside the traced entry point, not on a later matrix read
+        assert _spans(record, "discretization.project_operator") > 0
     else:
         assert _spans(record, "filters.regularize_svd") > 0

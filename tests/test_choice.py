@@ -325,6 +325,20 @@ def test_refine_then_choose_uses_estimate(op1024):
     assert estimate == direct
 
 
+def test_data_driven_estimates_equal_each_row_refined_alone(op64):
+    x = make_signal("source", op64.grid, op=op64, nu=1.0, amplitude=10.0)
+    spec = NoiseSpec.gaussian_white(17)
+    y = apply(op64, x)
+    batch = Observation.stack(observe(op64, x, 0.05, spec, replicate=rep, y_exact=y) for rep in range(3))
+    sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=1.0, n_max=64)
+    template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op64.norm**2, delta_input=0.05)
+    estimates, _, _ = data_driven_choose(op64, LevelData(batch), EstimatorConfig(), template, sched)
+    assert len(estimates) == 3
+    for i, estimate in enumerate(estimates):
+        alone = refine_delta_hat(op64, LevelData(batch.row(i)), EstimatorConfig(), sched)
+        assert estimate == alone
+
+
 def _scalar_lepskii(op, obs, cfg, sched):
     """The balancing rule on one realization, one candidate and one pair at a time.
 

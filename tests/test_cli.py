@@ -157,6 +157,18 @@ def test_operator_n_with_a_dense_divisor_ladder_is_accepted(n):
     assert config_from_mapping({"operator.n": str(n)}).operator_n == n
 
 
+@pytest.mark.parametrize("command", ["converge", "estimate-noise"])
+def test_estimator_start_level_beyond_the_grid_exits_2(tmp_path, capsys, command):
+    # the first estimator level would not exist: refinement would return delta_hat = 0
+    with pytest.raises(ConfigError, match="estimator.n0 = 128 exceeds operator.n = 64"):
+        config_from_mapping({"operator.n": "64", "estimator.n0": "128"})
+    cfg = _cfg_file(tmp_path, method="lepskii_estimated_delta", extra="estimator.n0 = 128\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "rows.csv")]) == 2
+    assert "estimator.n0 = 128 exceeds operator.n = 64" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+    assert config_from_mapping({"operator.n": "64", "estimator.n0": "64"}).estimator.n0 == 64
+
+
 def test_estimate_noise(tmp_path, capsys):
     cfg = _cfg_file(tmp_path)
     assert main(["estimate-noise", "--config", cfg]) == 0

@@ -10,6 +10,7 @@ from statinv import (
     LevelData,
     LevelSchedule,
     NoiseSpec,
+    Observation,
     build_integration_operator,
     embed_vector,
     n_of,
@@ -164,3 +165,22 @@ def test_level_data_rounds_and_caches():
     assert data(64) is obs
     with pytest.raises(DataUnavailableError):
         data(65)
+
+
+def test_level_data_computes_a_batch_statistic_once_per_level():
+    op = build_integration_operator(Grid(64))
+    x = make_signal("smooth", op.grid)
+    spec = NoiseSpec.gaussian_white(seed=8)
+    data = LevelData(Observation.stack(observe(op, x, 0.05, spec, replicate=rep) for rep in range(3)))
+    calls = []
+
+    def row_sums(obs):
+        calls.append(obs.n)
+        return obs.coeffs.sum(axis=-1)
+
+    for level in (16, 32, 64):
+        assert np.array_equal(data.per_level(row_sums, level), data(level).coeffs.sum(axis=-1))
+    assert data.per_level(row_sums, 20) is data.per_level(row_sums, 32)  # 20 rounds up to 32
+    assert calls == [16, 32, 64]
+    with pytest.raises(DataUnavailableError):
+        data.per_level(row_sums, 65)

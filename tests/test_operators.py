@@ -274,6 +274,57 @@ def test_matrix_view_is_copied():
     assert op.matrix[0, 0] == 1.0
 
 
+def _counted_matrix(m, reads):
+    """A deferred matrix that records each time it is built."""
+
+    def build():
+        reads.append(m.shape)
+        return m.copy()
+
+    return build
+
+
+def test_factored_projection_defers_its_matrix_until_read():
+    m = build_integration_operator(Grid(96)).matrix
+    reads = []
+    fine = DiscreteOperator(Grid(96), _counted_matrix(m, reads), holder_s=1.0, factor=integration_svd)
+    assert reads == []  # the closed-form factor needs no matrix
+    coarse = project_operator(fine, 12)
+    assert reads == [] and coarse.rank == 12  # no compression of the fine matrix yet
+    eager = m.reshape(12, 8, 12, 8).sum(axis=(1, 3))
+    eager *= 12 / 96
+    assert np.array_equal(coarse.matrix, eager)
+    assert reads == [(96, 96)]
+    assert coarse.matrix is coarse.matrix  # built once, then kept
+    assert coarse.matrix.flags.owndata and not coarse.matrix.flags.writeable
+    assert reads == [(96, 96)]
+
+
+def test_deferred_matrix_keeps_the_shape_check():
+    op = DiscreteOperator(Grid(4), lambda: np.eye(3), factor=integration_svd)
+    with pytest.raises(ValueError, match="expected"):
+        op.matrix
+
+
+def test_factorless_projection_builds_its_matrix_for_one_lapack_svd(monkeypatch):
+    m = build_holder_kernel_operator(Grid(32), np.minimum, holder_s=1.0, volterra=False).matrix
+    reads = []
+    fine = DiscreteOperator(Grid(32), _counted_matrix(m, reads), holder_s=1.0)
+    assert reads == [(32, 32)]  # read at once: its SVD needs it
+    svd_inputs = []
+    dense_svd = np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        svd_inputs.append(a)
+        return dense_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    coarse = project_operator(fine, 16)
+    assert len(svd_inputs) == 1
+    assert svd_inputs[0] is coarse.matrix and not coarse.matrix.flags.writeable
+    assert reads == [(32, 32)]
+
+
 def test_v_inverts_vtx_and_checks_the_rank(op64):
     y = np.random.default_rng(3).standard_normal((3, 64))
     # V is orthogonal at full rank
