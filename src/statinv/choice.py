@@ -403,11 +403,12 @@ def lepskii_choose(
     # checking j at its first failing k, as the scalar rule does
     accepted = np.zeros((rows, width), dtype=bool)
     pairs = np.zeros(rows, dtype=int)
+    diff = np.empty((rows, cells))  # one buffer for every (k, j) pair
     for j in range(1, width):
         checking = j <= m
         for k in range(j):
             pairs += checking
-            diff = embedded[:, k] - embedded[:, j]
+            np.subtract(embedded[:, k], embedded[:, j], out=diff)
             checking &= ~(np.sqrt(np.vecdot(diff, diff)) > band[:, k])
         accepted[:, j] = checking
 

@@ -77,8 +77,8 @@ class LevelSchedule:
         """The raw max rule before applying the ``n_max`` cap."""
         if alpha <= 0 or delta <= 0:
             raise ValueError("alpha and delta must be positive")
-        n1 = int(np.ceil(self.c1 * alpha ** (-1.0 / (2.0 * self.r))))
-        n2 = int(np.ceil(self.c2 * delta ** (-self.eta))) if self.c2 > 0 else 1
+        n1 = math.ceil(self.c1 * alpha ** (-1.0 / (2.0 * self.r)))
+        n2 = math.ceil(self.c2 * delta ** (-self.eta)) if self.c2 > 0 else 1
         return max(n1, n2, 1)
 
     def with_n_max(self, n_max: int) -> "LevelSchedule":

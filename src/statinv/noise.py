@@ -211,9 +211,13 @@ def observe(
     )
 
 
-def pointwise_values(obs: Observation) -> np.ndarray:
-    """Cell values QY_delta(t) for t in [t_{j-1}, t_j); value_j = sqrt(n) * coeff_j."""
-    return obs.coeffs * np.sqrt(obs.n)
+def pointwise_values(obs: Observation, rows: slice = slice(None)) -> np.ndarray:
+    """Cell values QY_delta(t) for t in [t_{j-1}, t_j); value_j = sqrt(n) * coeff_j.
+
+    ``rows`` selects a block of a batch's rows; a single realization takes
+    the default.
+    """
+    return obs.coeffs[rows] * np.sqrt(obs.n)
 
 
 def observation_to_csv(obs: Observation, path) -> None:

@@ -20,6 +20,7 @@ is computed once, on the whole (R, n_level) block, and cached on the
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,9 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 MAX_REFINE_ITERATIONS = 50
+
+# Entries of the difference block that estimate_delta_sq holds at once.
+_CHUNK = 2**13
 
 
 @dataclass(frozen=True)
@@ -106,14 +110,24 @@ def estimate_delta_sq(obs: Observation):
     """The first-difference estimate of delta^2 at the observation's level.
 
     Works along the last axis: a float for one realization, an (R,) array
-    for a batch, each entry bit-equal to the estimate of its row alone.
+    for a batch, each entry bit-equal to the estimate of its row alone.  A
+    batch is read a few rows at a time, so the temporaries stay small
+    whatever R is and the process does not map fresh pages for them on
+    every batch.
     """
     n = obs.n
     if n < 2:
         raise ValueError("estimation needs at least two cells")
-    values = pointwise_values(obs)
-    out = np.sum(np.diff(values, axis=-1) ** 2, axis=-1) / (2.0 * n * n)
-    return float(out) if out.ndim == 0 else out
+    if obs.coeffs.ndim == 1:
+        diffs = np.diff(pointwise_values(obs))
+        return float(np.sum(np.square(diffs, out=diffs)) / (2.0 * n * n))
+    out = np.empty(obs.rows)
+    step = max(1, _CHUNK // n)
+    for k in range(0, obs.rows, step):
+        diffs = np.diff(pointwise_values(obs, slice(k, k + step)), axis=-1)
+        out[k : k + step] = np.sum(np.square(diffs, out=diffs), axis=-1)
+    out /= 2.0 * n * n
+    return out
 
 
 def refine_delta_hat(
@@ -169,7 +183,7 @@ def refine_delta_hat(
             # constant data; no further level can change the estimate
             break
         alpha = delta_hat**2
-        n_next = max(sched.uncapped(alpha, delta_hat), int(np.ceil(p * n_used)))
+        n_next = max(sched.uncapped(alpha, delta_hat), math.ceil(p * n_used))
         if n_next > sched.n_max:
             if n_used >= sched.n_max:
                 log.debug("refinement stopped by the n_max=%d cap", sched.n_max)

@@ -18,8 +18,21 @@ business.  The dense ``matrix`` is read elsewhere only by
 ``discretization.project_operator`` (Galerkin compression to a coarser level)
 and by ``filters.regularize_normal_equations`` (the dense reference solve).
 An operator may receive its matrix as a callable and build it on first
-read; projected integration levels do, so a level whose matrix is never
-read never builds it.
+read; integration operators do, at every level.
+
+The integration operator needs no n x n array at all.  Its ``s`` is closed
+form, :func:`apply` is a cumulative sum, and at an even level of at least
+``_TRANSFORM_MIN_N`` cells ``uty``, ``vtx`` and ``v`` are a DST-IV, a DCT-IV
+and a DCT-IV of the zero-padded coefficients, each one n/2-point complex FFT
+(O(n log n) per row instead of the n^2 product).  Its dense factors ``u`` and
+``vt`` and its ``matrix`` are built only when read.  Smaller and odd levels
+keep the dense closed-form products: below the constant they are no slower
+at any row count, and the half-length FFT needs an even n.
+The transforms use ``numpy.fft`` rather than ``scipy.fft``, whose import
+alone takes a few tenths of a second per process, and apply their twiddle
+factors as separate real products and sums: complex twiddle arrays can
+round a row of a batch differently from the same row alone, real ones keep
+every row of an (R, n) batch bit-equal to that row transformed by itself.
 """
 
 from __future__ import annotations
@@ -46,6 +59,19 @@ __all__ = [
 # Relative threshold below which singular values are treated as zero.
 TOL_SVD = 1e-10
 
+# Smallest even level whose integration operator runs uty / vtx / v as FFT
+# transforms.  Per call (BENCH_21.json "transform_threshold"; 2 vCPUs, one
+# BLAS thread, medians of 9 rounds), the transform wins at n = 512 for any
+# row count, the dense product is no slower at n = 128 (uty + v: 8 against
+# 30 us for one row, 722 against 743 us for 200), and at n = 256 the winner
+# depends on the rows: dense for one row (23 against 33 us), the transform
+# from 20 rows (461 against 195 us).  The path cannot follow the row count,
+# because each row of a batch must keep the bits of that row alone.  Batched
+# calls at n = 256 come from the level pipeline (the fine_grid study runs 8%
+# faster than with 512), one-row calls from the oracle and discrepancy
+# rules, which the oracle benchmark runs at n = 512 on either setting.
+_TRANSFORM_MIN_N = 256
+
 
 class DiscreteOperator:
     """An n x n Galerkin matrix together with its cached singular system.
@@ -55,6 +81,13 @@ class DiscreteOperator:
     read it through ``uty`` (U_r^T y), ``vtx`` (V_r^T x) and ``v`` (V_k w),
     never through ``u`` and ``vt``; see the module docstring for the two
     remaining readers of ``matrix``.
+
+    With ``factor=integration_svd`` the operator is matrix-free: ``s`` is the
+    closed form, ``u``, ``vt`` and ``matrix`` are built on first read, and at
+    an even n >= ``_TRANSFORM_MIN_N`` the three products run as DST-IV/DCT-IV
+    transforms through ``numpy.fft`` (the module docstring says why there and
+    why so).  Every other operator, and integration at smaller or odd n,
+    forms the products with its dense factors.
 
     Parameters
     ----------
@@ -79,7 +112,8 @@ class DiscreteOperator:
         Action of the operator in the indicator basis, built on first read
         when it was given as a callable.
     u, s, vt : ndarray
-        Cached SVD, ``matrix = u @ diag(s) @ vt`` with ``s`` nonincreasing.
+        Cached SVD, ``matrix = u @ diag(s) @ vt`` with ``s`` nonincreasing;
+        ``u`` and ``vt`` of an integration operator are built on first read.
     hs_norm : float
         Hilbert-Schmidt norm, sqrt(sum s_j^2).
     rank : int
@@ -90,7 +124,9 @@ class DiscreteOperator:
         The ``factor`` the operator was built with.
     """
 
-    __slots__ = ("grid", "_matrix", "u", "s", "vt", "hs_norm", "rank", "holder_s", "factor")
+    __slots__ = (
+        "grid", "_matrix", "_factors", "s", "hs_norm", "rank", "holder_s", "factor", "_twiddles",
+    )
 
     def __init__(
         self,
@@ -102,17 +138,22 @@ class DiscreteOperator:
         n = grid.n_cells
         self.grid = grid
         self._matrix = matrix if callable(matrix) else _frozen(matrix, n)
-        u, s, vt = np.linalg.svd(self.matrix) if factor is None else factor(n)
-        self.u = u
+        self.factor = factor
+        if factor is integration_svd:
+            s = _integration_s(n)
+            self._factors = None  # (u, vt), built on first read
+        else:
+            u, s, vt = np.linalg.svd(self.matrix) if factor is None else factor(n)
+            self._factors = (u, vt)
+        transform = factor is integration_svd and n % 2 == 0 and n >= _TRANSFORM_MIN_N
+        self._twiddles = _twiddles(n) if transform else None
         self.s = s
-        self.vt = vt
         self.hs_norm = float(np.sqrt(np.sum(s**2)))
         if s[0] > 0.0:
             self.rank = int(np.count_nonzero(s > TOL_SVD * s[0]))
         else:
             self.rank = 0
         self.holder_s = holder_s
-        self.factor = factor
 
     @property
     def matrix(self) -> np.ndarray:
@@ -120,16 +161,34 @@ class DiscreteOperator:
             self._matrix = _frozen(self._matrix(), self.n)
         return self._matrix
 
+    def _uvt(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._factors is None:
+            u, _, vt = self.factor(self.n)
+            self._factors = (u, vt)
+        return self._factors
+
+    @property
+    def u(self) -> np.ndarray:
+        return self._uvt()[0]
+
+    @property
+    def vt(self) -> np.ndarray:
+        return self._uvt()[1]
+
     @property
     def n(self) -> int:
         return self.grid.n_cells
 
     def uty(self, y) -> np.ndarray:
         """U_r^T y along the last axis: (..., n) -> (..., rank)."""
+        if self._twiddles is not None:
+            return _trig4(y, self._twiddles, sine=True)[..., : self.rank]
         return _stacked(y, self.u[:, : self.rank])
 
     def vtx(self, x) -> np.ndarray:
         """V_r^T x along the last axis: (..., n) -> (..., rank)."""
+        if self._twiddles is not None:
+            return _trig4(x, self._twiddles, sine=False)[..., : self.rank]
         return _stacked(x, self.vt[: self.rank].T)
 
     def v(self, w) -> np.ndarray:
@@ -137,6 +196,10 @@ class DiscreteOperator:
         k = np.shape(w)[-1]
         if k > self.rank:
             raise ValueError(f"{k} coefficients for an operator of rank {self.rank}")
+        if self._twiddles is not None:
+            padded = np.zeros(np.shape(w)[:-1] + (self.n,))
+            padded[..., :k] = w
+            return _trig4(padded, self._twiddles, sine=False)
         return _stacked(w, self.vt[:k])
 
     @property
@@ -168,6 +231,55 @@ def _stacked(y, a: np.ndarray) -> np.ndarray:
     """
     y = np.asarray(y, dtype=float)
     return (y[..., None, :] @ a)[..., 0, :]
+
+
+def _twiddles(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """cos and sin of the pre-twiddle pi m / n and of the post-twiddle
+    pi (4m+1) / (4n), m < n/2, the latter scaled by sqrt(2/n)."""
+    m = np.arange(n // 2)
+    pre = np.pi * m / n
+    post = np.pi * (4 * m + 1) / (4 * n)
+    scale = np.sqrt(2.0 / n)
+    return np.cos(pre), np.sin(pre), scale * np.cos(post), scale * np.sin(post)
+
+
+def _trig4(x, twiddles, sine: bool) -> np.ndarray:
+    """Orthonormal DCT-IV (``sine=False``) or DST-IV of x along its even last axis.
+
+    The DCT-IV of x is read from one n/2-point FFT of z_m = x_{2m} + i
+    x_{n-1-2m}: pre-twiddle z by exp(-i pi m / n), transform, post-twiddle by
+    exp(-i pi (4m+1) / (4n)); the real part gives the even outputs, minus the
+    imaginary part the odd ones in reverse order.  The DST-IV is the DCT-IV
+    of x reversed with every odd output negated: the real and imaginary
+    inputs swap, and the odd outputs take the imaginary part unnegated.  Each
+    complex product is written out in real multiplies and adds.  ``twiddles``
+    is ``_twiddles(n)``.
+    """
+    x = np.asarray(x, dtype=float)
+    cos_pre, sin_pre, cos_post, sin_post = twiddles
+    re_in, im_in = x[..., 0::2], x[..., ::-2]
+    if sine:
+        re_in, im_in = im_in, re_in
+    z = np.empty(re_in.shape, dtype=complex)
+    tmp = np.empty(re_in.shape)
+    re, im = z.real, z.imag
+    np.multiply(re_in, cos_pre, out=re)
+    re += np.multiply(im_in, sin_pre, out=tmp)
+    np.multiply(im_in, cos_pre, out=im)
+    im -= np.multiply(re_in, sin_pre, out=tmp)
+    z = np.fft.fft(z, axis=-1)
+    re, im = z.real, z.imag
+    out = np.empty(x.shape)
+    even, odd = out[..., 0::2], out[..., ::-2]
+    np.multiply(re, cos_post, out=even)
+    even += np.multiply(im, sin_post, out=tmp)
+    if sine:
+        np.multiply(im, cos_post, out=odd)
+        odd -= np.multiply(re, sin_post, out=tmp)
+    else:
+        np.multiply(re, sin_post, out=odd)
+        odd -= np.multiply(im, cos_post, out=tmp)
+    return out
 
 
 @dataclass(frozen=True)
@@ -234,8 +346,12 @@ def integration_svd(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         phase += 2 * n  # cos(t) = sin(t + pi/2)
         phase %= period
         np.take(table, phase, out=vt[j0 : j0 + rows])
-    s = 1.0 / (2 * n * np.tan(odd * angle))
-    return u, s, vt
+    return u, _integration_s(n), vt
+
+
+def _integration_s(n: int) -> np.ndarray:
+    """The singular values of :func:`integration_svd`, without its factors."""
+    return 1.0 / (2 * n * np.tan(np.arange(1, 2 * n, 2) * (np.pi / (4 * n))))
 
 
 def build_integration_operator(grid: Grid) -> DiscreteOperator:
@@ -243,13 +359,18 @@ def build_integration_operator(grid: Grid) -> DiscreteOperator:
 
     The entries are exact integrals of piecewise-constant functions:
     M_jj = 1/(2n), M_ij = 1/n for i > j, zero above the diagonal.  The
-    singular system is the closed form :func:`integration_svd`, which also
-    factors every nested projection of the matrix.
+    matrix is built only when read.  The singular system is the closed form
+    :func:`integration_svd`, which also factors every nested projection of
+    the matrix.
     """
     n = grid.n_cells
-    m = np.tril(np.full((n, n), 1.0 / n), k=-1)
-    np.fill_diagonal(m, 0.5 / n)
-    return DiscreteOperator(grid, m, holder_s=1.0, factor=integration_svd)
+
+    def galerkin():
+        m = np.tril(np.full((n, n), 1.0 / n), k=-1)
+        np.fill_diagonal(m, 0.5 / n)
+        return m
+
+    return DiscreteOperator(grid, galerkin, holder_s=1.0, factor=integration_svd)
 
 
 def build_holder_kernel_operator(
@@ -289,9 +410,16 @@ def build_holder_kernel_operator(
 
 
 def apply(op: DiscreteOperator, x: L2Vector) -> L2Vector:
-    """y = Tx in the shared basis."""
+    """y = Tx in the shared basis.
+
+    For the integration operator, (Tx)_i = (sum_{j<i} x_j + x_i / 2) / n is
+    a cumulative sum and reads no matrix.
+    """
     if x.grid != op.grid:
         raise ValueError("operator and vector grids do not match")
+    if op.factor is integration_svd:
+        c = x.coeffs
+        return L2Vector(op.grid, (np.cumsum(c) - c / 2) / op.n)
     return L2Vector(op.grid, op.matrix @ x.coeffs)
 
 

@@ -2,8 +2,9 @@
 
 ``benchmarks/converge_child.py`` wraps named ``statinv`` entry points and
 reads fields of their results.  These tests run it on tiny veto and oracle
-studies, so a renamed entry point or a changed result shows up here rather
-than only in the benchmark's smoke runs.
+studies, and on a veto study whose fine level is large enough for the
+integration operator's transforms, so a renamed entry point or a changed
+result shows up here rather than only in the benchmark's smoke runs.
 """
 
 import json
@@ -40,6 +41,17 @@ study = mse
 schedule.c2 = 0.0
 schedule.n_max = 64
 """,
+    "transform": """
+operator.n = 512
+signal.kind = source
+signal.amplitude = 10.0
+delta_list = 0.1, 0.05
+replicates = 3
+seed = 11
+method = lepskii_estimated_delta
+study = veto
+schedule.n_max = 512
+""",
 }
 
 
@@ -70,5 +82,9 @@ def test_every_traced_entry_point_but_the_retired_solver_exists(tmp_path, name):
         assert record["lepskii"]["candidates"] > 0
         # coarse levels are built inside the traced entry point, not on a later matrix read
         assert _spans(record, "discretization.project_operator") > 0
+    elif name == "transform":
+        # the matrix-free operator is still built, projected and applied through the hooks
+        for hook in ("operators.DiscreteOperator", "operators.apply", "discretization.project_operator"):
+            assert _spans(record, hook) > 0, hook
     else:
         assert _spans(record, "filters.regularize_svd") > 0

@@ -54,17 +54,22 @@ def test_estimate_needs_two_cells():
 
 
 def test_estimate_batch_rows_equal_single_rows(op64):
-    x = make_signal("smooth", op64.grid)
+    # a batch is read in blocks of 2^13 entries: 3 rows at n = 64 fit in one,
+    # 9 rows at n = 1024 end on a partial block of one row, and rows longer
+    # than a block (n = 16384) go one by one
     spec = NoiseSpec.gaussian_white(seed=4)
-    rows = [observe(op64, x, 0.1, spec, replicate=rep) for rep in range(3)]
-    batch = Observation.stack(rows)
-    estimates = estimate_delta_sq(batch)
-    assert estimates.shape == (3,)
-    for i, obs in enumerate(rows):
-        single = estimate_delta_sq(obs)
-        assert isinstance(single, float)
-        assert estimates[i] == single
-        assert estimate_delta_sq(batch.row(i)) == single
+    cases = [(op64, 3)] + [(build_integration_operator(Grid(n)), r) for n, r in ((1024, 9), (16384, 2))]
+    for op, reps in cases:
+        x = make_signal("smooth", op.grid)
+        rows = [observe(op, x, 0.1, spec, replicate=rep) for rep in range(reps)]
+        batch = Observation.stack(rows)
+        estimates = estimate_delta_sq(batch)
+        assert estimates.shape == (reps,)
+        for i, obs in enumerate(rows):
+            single = estimate_delta_sq(obs)
+            assert isinstance(single, float)
+            assert estimates[i] == single
+            assert estimate_delta_sq(batch.row(i)) == single
 
 
 def test_pure_noise_expectation(op512):

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,32 @@ def test_factorless_projection_builds_its_matrix_for_one_lapack_svd(monkeypatch)
     assert len(svd_inputs) == 1
     assert svd_inputs[0] is coarse.matrix and not coarse.matrix.flags.writeable
     assert reads == [(32, 32)]
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 509, 1024])
+def test_integration_apply_is_the_cumulative_sum(n):
+    op = build_integration_operator(Grid(n))
+    x = L2Vector(op.grid, np.random.default_rng(n).standard_normal(n))
+    dense = op.matrix @ x.coeffs
+    assert np.linalg.norm(apply(op, x).coeffs - dense) <= 1e-14 * np.linalg.norm(dense)
+
+
+def test_large_integration_operator_holds_no_dense_array():
+    n = 2**16  # one dense n x n factor would take 32 GiB
+    y = np.random.default_rng(0).standard_normal((4, n))
+    tracemalloc.start()
+    try:
+        op = build_integration_operator(Grid(n))
+        assert np.linalg.norm(op.v(op.vtx(y)) - y) <= 1e-12 * np.linalg.norm(y)
+        op.uty(y)
+        op.v(y[:, : n // 3])
+        apply(op, L2Vector(op.grid, y[0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    # neither the Galerkin matrix nor the dense factors were ever built
+    assert callable(op._matrix) and op._factors is None
 
 
 def test_v_inverts_vtx_and_checks_the_rank(op64):

@@ -1,6 +1,6 @@
-"""Property tests of the nested projections, the operator's singular system,
-the filter laws, the noise-level estimator and the noise streams, run with
-fixed examples."""
+"""Property tests of the nested projections, the level schedule, the
+operator's singular system, the filter laws, the noise-level estimator and
+the noise streams, run with fixed examples."""
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
@@ -27,7 +27,9 @@ from statinv import (
     tikhonov,
     verify_filter_properties,
 )
+from statinv.discretization import LevelSchedule
 from statinv.noise import generator_for, stream_key
+from statinv.operators import _TRANSFORM_MIN_N
 from statinv.signals import make_signal
 
 # derandomized: the same examples on every run, so the suite stays deterministic
@@ -40,6 +42,17 @@ SPECTRAL = {
     "integration256": OPERATORS[256],
     "min_kernel64": build_holder_kernel_operator(Grid(64), np.minimum, holder_s=1.0, volterra=False),
 }
+# operators whose uty / vtx / v are dense products of their factors: min_kernel,
+# integration below the transform size, and an odd integration level above it
+DENSE = {
+    "min_kernel64": SPECTRAL["min_kernel64"],
+    "integration2": build_integration_operator(Grid(2)),
+    "integration16": SPECTRAL["integration16"],
+    "integration64": OPERATORS[64],
+    "integration509": project_operator(build_integration_operator(Grid(1018)), 509),
+}
+# integration operators whose uty / vtx / v are DST-IV / DCT-IV transforms
+TRANSFORM = {n: build_integration_operator(Grid(n)) for n in (_TRANSFORM_MIN_N, 512, 2048)}
 
 
 @PROPERTY
@@ -72,9 +85,9 @@ def test_project_inverts_embed_and_is_its_adjoint(n_coarse, block, seed):
 
 
 @PROPERTY
-@given(st.sampled_from(sorted(SPECTRAL)), st.integers(1, 6), st.data(), st.integers(0, 2**31))
+@given(st.sampled_from(sorted(DENSE)), st.integers(1, 6), st.data(), st.integers(0, 2**31))
 def test_singular_system_rows_equal_the_dense_products(name, rows, data, seed):
-    op = SPECTRAL[name]
+    op = DENSE[name]
     r = op.rank
     k = data.draw(st.integers(1, r))
     rng = np.random.default_rng(seed)
@@ -85,6 +98,30 @@ def test_singular_system_rows_equal_the_dense_products(name, rows, data, seed):
         assert np.array_equal(uty[i], op.u[:, :r].T @ y[i])
         assert np.array_equal(vtx[i], op.vt[:r] @ y[i])
         assert np.array_equal(vw[i], op.vt[:k].T @ w[i])
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(TRANSFORM)), st.integers(1, 6), st.data(), st.integers(0, 2**31))
+def test_transform_rows_are_bit_equal_and_match_the_dense_factors(n, rows, data, seed):
+    op = TRANSFORM[n]
+    assert op.rank == n
+    k = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((rows, n))
+    w = rng.standard_normal((rows, k))
+    products = {
+        "uty": (op.uty, y, lambda row: op.u.T @ row),
+        "vtx": (op.vtx, y, lambda row: op.vt @ row),
+        "v": (op.v, w, lambda row: op.vt[:k].T @ row),
+    }
+    for name, (product, batch, dense) in products.items():
+        out = product(batch)
+        for i in range(rows):
+            # a batch row, a one-row batch and the bare row give the same bits
+            assert np.array_equal(product(batch[i]), out[i]), name
+            assert np.array_equal(product(batch[i : i + 1])[0], out[i]), name
+            expected = dense(batch[i])
+            assert np.linalg.norm(out[i] - expected) <= 1e-12 * np.linalg.norm(expected), name
 
 
 @PROPERTY
@@ -115,6 +152,39 @@ def test_project_operator_is_the_galerkin_compression(n_coarse, block, seed):
     np.testing.assert_allclose(
         project_operator(op, n_coarse).matrix, e.T @ m @ e, rtol=0, atol=1e-13 * np.abs(m).max()
     )
+
+
+def _old_uncapped(sched, alpha, delta):
+    """LevelSchedule.uncapped as it read with numpy's ceil."""
+    n1 = int(np.ceil(sched.c1 * alpha ** (-1.0 / (2.0 * sched.r))))
+    n2 = int(np.ceil(sched.c2 * delta ** (-sched.eta))) if sched.c2 > 0 else 1
+    return max(n1, n2, 1)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+@PROPERTY
+@given(
+    st.floats(0.05, 4.0),
+    st.floats(0.0, 1.0),
+    st.floats(1e-3, 1e3),
+    st.floats(0.0, 1e3),
+    st.floats(1e-300, 1e3),
+    st.floats(1e-300, 1.0),
+)
+@example(1.0, 0.5, 1.0, 1.0, 1e-300, 1e-300)  # delta^(-eta) overflows: both raise
+@example(1.0, 0.5, 1.0, 0.0, 0.25, 0.1)  # c2 = 0
+def test_uncapped_level_equals_the_numpy_ceil(r, eta_frac, c1, c2, alpha, delta):
+    low = 2.0 / (1.0 + 2.0 * r)
+    sched = LevelSchedule(r=r, eta=low + eta_frac * (2.0 - low) * (1 - 1e-9), c1=c1, c2=c2)
+    new = _outcome(sched.uncapped, alpha, delta)
+    assert new == _outcome(_old_uncapped, sched, alpha, delta)
+    assert isinstance(new, type) or (type(new) is int and new >= 1)
 
 
 @PROPERTY
