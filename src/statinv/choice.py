@@ -21,7 +21,8 @@ single realization is R = 1.  How a rule walks the rows is its own
 business: the balancing rule handles all R at once (a :class:`LevelData`, so
 the known-delta and the estimated-delta pipelines, and the noise-level
 estimator, read the same projected observations), while the oracle and the
-discrepancy principle share their per-batch setup and score row by row.
+discrepancy principle share their per-batch setup and work through the
+rows in blocks, one batched solve per block and alpha.
 """
 
 from __future__ import annotations
@@ -103,7 +104,9 @@ class LepskiiConfig:
         return replace(self, delta_input=delta_input)
 
 
-# Entries of the fine-grid differences that LepskiiResult.errors holds at once.
+# Entries of a block of fine-grid rows that a rule holds at once: the
+# differences in LepskiiResult.errors, the data rows of one oracle or
+# discrepancy block, and the oracle's (rows, alphas, rank) scores.
 _CHUNK = 2**16
 
 # The balancing candidates are Tikhonov solutions.
@@ -217,14 +220,17 @@ def oracle_choice(
 ) -> list:
     """Grid alpha minimizing the true error ||x_alpha - x_true||, per row (benchmark only).
 
-    The whole grid is scored in the right singular basis from one U^T y per
-    row: the solution at alpha is V_r w_alpha with w_alpha = F_alpha(s^2) s
-    U^T y, so ||x_alpha - x_true|| and ||w_alpha - V_r^T x_true|| differ only
-    by the part of x_true outside range(V_r), which is the same for every
-    alpha.  V_r^T x_true and the sorted grid are computed once for the batch.
-    Each row's winner is then solved once by ``regularize_svd``.  Returns
-    ``(alpha, error, x_alpha)`` of that solve for every row of ``obs`` (one
-    realization is one row); ties break toward the smallest alpha.
+    The whole grid is scored in the right singular basis from each row's
+    U^T y: the solution at alpha is V_r w_alpha with w_alpha = F_alpha(s^2)
+    s U^T y, so ||x_alpha - x_true|| and ||w_alpha - V_r^T x_true|| differ
+    only by the part of x_true outside range(V_r), which is the same for
+    every alpha.  V_r^T x_true and the sorted grid are computed once for the
+    batch.  The rows go in blocks of ``_CHUNK // n``: one U^T y for the
+    block, the (rows, alphas, rank) scores in slices of at most ``_CHUNK``
+    entries, and one batched ``regularize_svd`` that solves every row at its
+    own winner.  Returns ``(alpha, error, x_alpha)`` of that solve for every
+    row of ``obs`` (one realization is one row), each bit-equal to the row
+    scored and solved alone; ties break toward the smallest alpha.
     """
     alphas = np.sort(np.asarray(alpha_grid, dtype=float))
     if alphas.size == 0:
@@ -233,12 +239,19 @@ def oracle_choice(
     # same product order as spectral_series, one row per alpha
     gains = filter_value(filt, alphas[:, None], s**2) * s
     target = op.vtx(x_true.coeffs)
+    ys = np.atleast_2d(obs.coeffs)
+    block, step = max(1, _CHUNK // op.n), max(1, _CHUNK // gains.size)
     picks = []
-    for y in np.atleast_2d(obs.coeffs):
-        scores = np.linalg.norm(gains * op.uty(y) - target, axis=1)
-        best = float(alphas[np.argmin(scores)])  # argmin takes the first, smallest alpha
-        x = regularize_svd(filt, op, y, best).x_alpha
-        picks.append((best, float(np.linalg.norm(x.coeffs - x_true.coeffs)), x))
+    for b in range(0, ys.shape[0], block):
+        rows = ys[b : b + block]
+        c = op.uty(rows)
+        best = np.empty(rows.shape[0])
+        for k in range(0, best.size, step):
+            scores = np.linalg.norm(gains * c[k : k + step, None] - target, axis=-1)
+            best[k : k + step] = alphas[np.argmin(scores, axis=-1)]  # the first, smallest alpha
+        for sol in regularize_svd(filt, op, rows, best):
+            x = sol.x_alpha
+            picks.append((sol.alpha, float(np.linalg.norm(x.coeffs - x_true.coeffs)), x))
     return picks
 
 
@@ -260,11 +273,14 @@ def discrepancy_principle(
     """Largest grid alpha whose residual stays within tau_dp * delta, per row.
 
     Returns one result for every row of ``obs`` (one realization is one
-    row).  A row falls back to the smallest grid alpha, with ``satisfied``
-    false, when no alpha qualifies.  Requires noise that is bounded in norm
-    (dirac or scaled_rv); white-noise observations are rejected because
-    their residual norm diverges with the discretization level and the rule
-    loses its meaning.
+    row).  The rows go in blocks of ``_CHUNK // n``; each block walks the
+    grid downward with one batched ``regularize_svd`` per alpha over the
+    rows that no larger alpha satisfied, so every row keeps the bits of its
+    own scan.  A row falls back to the smallest grid alpha, with
+    ``satisfied`` false, when no alpha qualifies.  Requires noise that is
+    bounded in norm (dirac or scaled_rv); white-noise observations are
+    rejected because their residual norm diverges with the discretization
+    level and the rule loses its meaning.
     """
     if tau_dp <= 1.0:
         raise ValueError("tau_dp must be > 1")
@@ -277,20 +293,28 @@ def discrepancy_principle(
     if alphas.size == 0:
         raise ValueError("alpha grid is empty")
     threshold = tau_dp * obs.delta
+    ys = np.atleast_2d(obs.coeffs)
+    block = max(1, _CHUNK // op.n)
     results = []
-    for y in np.atleast_2d(obs.coeffs):
+    for b in range(0, ys.shape[0], block):
+        rows = ys[b : b + block]
+        sols = [None] * rows.shape[0]
+        todo = np.arange(rows.shape[0])
         for a in alphas[::-1]:
-            sol = regularize_svd(filt, op, y, a)
-            if sol.residual_norm <= threshold:
+            for i, sol in zip(todo, regularize_svd(filt, op, rows[todo], a)):
+                sols[i] = sol
+            todo = todo[[sols[i].residual_norm > threshold for i in todo]]
+            if todo.size == 0:
                 break
-        # without a break, sol is the solve at the smallest alpha: the fallback
-        results.append(
+        # a row still open after the scan keeps its solve at the smallest alpha: the fallback
+        results.extend(
             DiscrepancyResult(
                 alpha=sol.alpha,
                 satisfied=sol.residual_norm <= threshold,
                 residual=sol.residual_norm,
                 x_alpha=sol.x_alpha,
             )
+            for sol in sols
         )
     return results
 

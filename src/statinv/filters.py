@@ -119,26 +119,42 @@ class RegularizedSolution:
     solver: str
 
 
-def spectral_series(filt: Filter, op: DiscreteOperator, y: np.ndarray, alpha: float) -> np.ndarray:
+def spectral_series(filt: Filter, op: DiscreteOperator, y: np.ndarray, alpha) -> np.ndarray:
     """Coefficients of x_alpha = sum_{s_j>0} F_alpha(s_j^2) s_j <y, u_j> v_j.
 
     The series runs over the numerical rank only.  ``y`` is one data vector
     (n,) or a batch (R, n), and each row of a batch gives the bits of its
-    own 1-D series.
+    own 1-D series.  ``alpha`` is a float or an (R, 1) column, one alpha
+    per row.
     """
     s = op.s[: op.rank]
     return op.v(filter_value(filt, alpha, s**2) * s * op.uty(y))
 
 
-def regularize_svd(
-    filt: Filter, op: DiscreteOperator, y: np.ndarray, alpha: float
-) -> RegularizedSolution:
-    """Spectral route: ``spectral_series`` together with the data residual."""
+def regularize_svd(filt: Filter, op: DiscreteOperator, y: np.ndarray, alpha):
+    """Spectral route: ``spectral_series`` together with the data residual ||T x_alpha - y||.
+
+    ``y`` is one data vector (n,), which gives one ``RegularizedSolution``,
+    or a batch (R, n), which gives a list of R of them; ``alpha`` is a float
+    or an (R,) array, one alpha per row.  A vector is solved as a batch of
+    one, and every row of a batch is bit-equal to that row solved alone at
+    its own alpha.
+    """
     y = np.asarray(y, dtype=float)
-    coeffs = spectral_series(filt, op, y, alpha)
-    x = L2Vector(op.grid, coeffs)
-    residual = float(np.linalg.norm(apply(op, x).coeffs - y))
-    return RegularizedSolution(alpha=float(alpha), x_alpha=x, residual_norm=residual, solver="svd_series")
+    rows = np.atleast_2d(y)
+    alphas = np.asarray(alpha, dtype=float)
+    if alphas.ndim and alphas.shape != rows.shape[:1]:
+        raise ValueError(f"{alphas.shape[0]} alphas for {rows.shape[0]} data rows")
+    coeffs = spectral_series(filt, op, rows, alphas[:, None] if alphas.ndim else alpha)
+    d = apply(op, coeffs) - rows
+    residuals = np.sqrt(np.vecdot(d, d))  # the 1-D norm's dot product, row by row
+    sols = [
+        RegularizedSolution(
+            alpha=float(a), x_alpha=L2Vector(op.grid, c), residual_norm=float(r), solver="svd_series"
+        )
+        for a, c, r in zip(np.broadcast_to(alphas, residuals.shape), coeffs, residuals)
+    ]
+    return sols if y.ndim == 2 else sols[0]
 
 
 def regularize_normal_equations(

@@ -66,10 +66,10 @@ TOL_SVD = 1e-10
 # 30 us for one row, 722 against 743 us for 200), and at n = 256 the winner
 # depends on the rows: dense for one row (23 against 33 us), the transform
 # from 20 rows (461 against 195 us).  The path cannot follow the row count,
-# because each row of a batch must keep the bits of that row alone.  Batched
-# calls at n = 256 come from the level pipeline (the fine_grid study runs 8%
-# faster than with 512), one-row calls from the oracle and discrepancy
-# rules, which the oracle benchmark runs at n = 512 on either setting.
+# because each row of a batch must keep the bits of that row alone.  The
+# study path calls it with batches: the level pipeline (the fine_grid study
+# runs 8% faster than with 512), and the oracle and discrepancy rules, which
+# solve their rows in blocks of up to 256 rows at n = 256.
 _TRANSFORM_MIN_N = 256
 
 
@@ -409,18 +409,26 @@ def build_holder_kernel_operator(
     return DiscreteOperator(grid, m, holder_s=holder_s)
 
 
-def apply(op: DiscreteOperator, x: L2Vector) -> L2Vector:
-    """y = Tx in the shared basis.
+def apply(op: DiscreteOperator, x):
+    """y = Tx in the shared basis, for an ``L2Vector`` or a coefficient array.
 
-    For the integration operator, (Tx)_i = (sum_{j<i} x_j + x_i / 2) / n is
-    a cumulative sum and reads no matrix.
+    An ``L2Vector`` gives an ``L2Vector``; an array of shape (..., n) gives
+    T applied along its last axis, with every row bit-equal to that row
+    applied alone.  For the integration operator, (Tx)_i = (sum_{j<i} x_j +
+    x_i / 2) / n is a cumulative sum and reads no matrix; any other operator
+    runs one matrix-vector product per row.
     """
-    if x.grid != op.grid:
+    vector = isinstance(x, L2Vector)
+    if vector and x.grid != op.grid:
         raise ValueError("operator and vector grids do not match")
+    c = x.coeffs if vector else np.asarray(x, dtype=float)
+    if c.shape[-1:] != (op.n,):
+        raise ValueError(f"coefficients have shape {c.shape}, expected (..., {op.n})")
     if op.factor is integration_svd:
-        c = x.coeffs
-        return L2Vector(op.grid, (np.cumsum(c) - c / 2) / op.n)
-    return L2Vector(op.grid, op.matrix @ x.coeffs)
+        y = (np.cumsum(c, axis=-1) - c / 2) / op.n
+    else:
+        y = (op.matrix @ c[..., None])[..., 0]
+    return L2Vector(op.grid, y) if vector else y
 
 
 def generalized_inverse_apply(op: DiscreteOperator, y: L2Vector, trunc: int) -> L2Vector:

@@ -2,9 +2,9 @@
 
 ``benchmarks/converge_child.py`` wraps named ``statinv`` entry points and
 reads fields of their results.  These tests run it on tiny veto and oracle
-studies, and on a veto study whose fine level is large enough for the
-integration operator's transforms, so a renamed entry point or a changed
-result shows up here rather than only in the benchmark's smoke runs.
+studies, and on a veto and an oracle study whose fine level is large enough
+for the integration operator's transforms, so a renamed entry point or a
+changed result shows up here rather than only in the benchmark's smoke runs.
 """
 
 import json
@@ -40,6 +40,17 @@ method = oracle
 study = mse
 schedule.c2 = 0.0
 schedule.n_max = 64
+""",
+    "oracle_transform": """
+operator.n = 512
+signal.kind = smooth
+delta_list = 0.1, 0.05
+replicates = 3
+seed = 7
+method = oracle
+study = mse
+schedule.c2 = 0.0
+schedule.n_max = 512
 """,
     "transform": """
 operator.n = 512
@@ -87,4 +98,5 @@ def test_every_traced_entry_point_but_the_retired_solver_exists(tmp_path, name):
         for hook in ("operators.DiscreteOperator", "operators.apply", "discretization.project_operator"):
             assert _spans(record, hook) > 0, hook
     else:
+        # oracle_transform: the batched solves run the transforms under the traced wrapper
         assert _spans(record, "filters.regularize_svd") > 0

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +36,7 @@ from statinv import (
     spectral_series,
     tikhonov,
 )
+from statinv.choice import _CHUNK
 from statinv.harness import METHODS, build_study
 from statinv.signals import dirac_direction, make_signal
 
@@ -423,3 +425,84 @@ def test_batch_rows_equal_single_realizations(di, reps):
             assert np.array_equal(got.x.coeffs, alone.x.coeffs)
             # alpha, flags, j_star, m, delta_hat, residual, satisfied, best_error
             assert replace(got, x=None) == replace(alone, x=None)
+
+
+OP1024 = build_integration_operator(Grid(1024))
+BLOCK = _CHUNK // 1024  # rows of one block at n = 1024
+# At delta = 0.01 the smooth signal's residuals at these alphas are about 2.16, 4.7
+# and 9.4 delta, and 2.13 delta at the smallest alpha under the other noise sign.
+BOUNDARY_GRID = np.geomspace(1e-6, 1e-1, 12)[9:]
+
+
+def _rows(op, x, delta, spec, reps):
+    singles = [observe(op, x, delta, spec, replicate=rep) for rep in range(reps)]
+    return Observation.stack(singles), singles
+
+
+def test_oracle_rows_across_a_block_boundary_equal_single_rows():
+    assert BLOCK == 64
+    x = make_signal("smooth", OP1024.grid)
+    batch, singles = _rows(OP1024, x, 0.01, NoiseSpec.gaussian_white(3), BLOCK + 3)
+    grid = np.geomspace(1e-7, 1e-1, 13)
+    picks = oracle_choice(OP1024, x, batch, tikhonov(), grid)
+    assert len(picks) == BLOCK + 3
+    for (alpha, err, x_alpha), obs in zip(picks, singles):
+        [(alone_alpha, alone_err, alone_x)] = oracle_choice(OP1024, x, obs, tikhonov(), grid)
+        assert (alpha, err) == (alone_alpha, alone_err)
+        assert np.array_equal(x_alpha.coeffs, alone_x.coeffs)
+
+
+@pytest.mark.parametrize(
+    "kind, tau, outcomes",
+    [
+        ("dirac", 5.0, {(True, 1)}),  # every row qualifies above the smallest alpha
+        ("dirac", 2.15, {(False, 0)}),  # every row falls back to the smallest alpha
+        ("scaled_rv", 2.15, {(True, 0), (False, 0)}),  # one sign qualifies, the other falls back
+    ],
+)
+def test_discrepancy_rows_across_a_block_boundary_equal_single_rows(kind, tau, outcomes):
+    x = make_signal("smooth", OP1024.grid)
+    direction = dirac_direction(OP1024.grid)
+    spec = NoiseSpec.dirac(direction, seed=3) if kind == "dirac" else NoiseSpec.scaled_rv(direction, seed=3)
+    batch, singles = _rows(OP1024, x, 0.01, spec, BLOCK + 3)
+    results = discrepancy_principle(OP1024, batch, tikhonov(), tau, BOUNDARY_GRID)
+    assert len(results) == BLOCK + 3
+    # (satisfied, index of the chosen alpha in the grid)
+    assert {(res.satisfied, list(BOUNDARY_GRID).index(res.alpha)) for res in results} == outcomes
+    for res, obs in zip(results, singles):
+        [alone] = discrepancy_principle(OP1024, obs, tikhonov(), tau, BOUNDARY_GRID)
+        assert np.array_equal(res.x_alpha.coeffs, alone.x_alpha.coeffs)
+        assert replace(res, x_alpha=None) == replace(alone, x_alpha=None)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_and_discrepancy_work_in_bounded_row_blocks():
+    # beyond the R x n solutions they return, the rules hold one block of rows
+    op = build_integration_operator(Grid(4096))
+    x = make_signal("smooth", op.grid)
+    grid = np.geomspace(1e-7, 1e-1, 13)
+    rules = {
+        "oracle": (
+            NoiseSpec.gaussian_white(3),
+            lambda obs: oracle_choice(op, x, obs, tikhonov(), grid),
+        ),
+        "discrepancy": (
+            NoiseSpec.dirac(dirac_direction(op.grid), seed=3),
+            lambda obs: discrepancy_principle(op, obs, tikhonov(), 2.0, grid),
+        ),
+    }
+    for name, (spec, rule) in rules.items():
+        rest = {}
+        for reps in (64, 512):
+            batch, _ = _rows(op, x, 0.01, spec, reps)
+            rest[reps] = _traced_peak(lambda: rule(batch)) - reps * op.n * 8
+        assert max(rest.values()) < 8 * 2**20, (name, rest)
+        assert rest[512] <= rest[64] + 2**20, (name, rest)  # per-row objects, no per-row arrays

@@ -266,3 +266,27 @@ def test_converge_is_independent_of_the_blas_thread_count(tmp_path):
         return [{k: v for k, v in zip(names, line.split(",")) if k in ("m", "hit_rate")} for line in lines]
 
     assert columns(one[0]) == columns(two[0])
+
+
+_RECORD_ALPHA = _RECORD_J_STAR.replace("c.j_star", "c.alpha")
+
+
+@pytest.mark.parametrize("noise, method", [("gaussian_white", "oracle"), ("dirac", "discrepancy")])
+def test_min_kernel_choices_are_independent_of_the_blas_thread_count(tmp_path, noise, method):
+    # the batched residual of a dense operator runs one BLAS product per row
+    cfg = tmp_path / "min_kernel.cfg"
+    cfg.write_text(BASE_CFG.format(noise=noise, method=method).replace("= integration", "= min_kernel"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        for attempt in ("a", "b"):
+            out = tmp_path / f"{method}_{threads}{attempt}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-c", _RECORD_ALPHA, "converge", "--config", str(cfg), "--out", str(out)],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            runs[threads, attempt] = (out.read_bytes(), json.loads(proc.stdout.splitlines()[-1]))
+    # reruns and thread counts: identical CSV bytes and chosen alphas
+    assert runs["1", "a"] == runs["1", "b"] == runs["2", "a"] == runs["2", "b"]
+    assert len(runs["1", "a"][1]) == 2 * 3

@@ -12,6 +12,8 @@ from statinv import (
     LevelData,
     NoiseSpec,
     Observation,
+    RegularizedSolution,
+    apply,
     build_holder_kernel_operator,
     build_integration_operator,
     draw_noise,
@@ -22,6 +24,7 @@ from statinv import (
     project,
     project_operator,
     project_vector,
+    regularize_svd,
     spectral_cutoff,
     spectral_series,
     tikhonov,
@@ -139,6 +142,41 @@ def test_spectral_series_batch_rows_equal_single_rows(name, filt, rows, alpha, s
     assert batch.shape == (rows, op.n)
     for i in range(rows):
         assert np.array_equal(batch[i], spectral_series(filt, op, y[i], alpha))
+
+
+# batched solves: a dense level, a transform level and a dense non-integration operator
+SOLVES = {"integration64": OPERATORS[64], "integration512": TRANSFORM[512], "min_kernel64": DENSE["min_kernel64"]}
+
+
+@PROPERTY
+@given(
+    st.sampled_from(sorted(SOLVES)),
+    st.sampled_from([tikhonov(), spectral_cutoff()]),
+    st.integers(1, 6),
+    st.booleans(),
+    st.data(),
+    st.integers(0, 2**31),
+)
+def test_batched_regularize_svd_rows_equal_single_solves(name, filt, rows, per_row, data, seed):
+    op = SOLVES[name]
+    y = np.random.default_rng(seed).standard_normal((rows, op.n))
+    alphas = st.floats(1e-8, 1.0)
+    if per_row:
+        alpha = np.array(data.draw(st.lists(alphas, min_size=rows, max_size=rows)))
+    else:
+        alpha = data.draw(alphas)
+    batch = regularize_svd(filt, op, y, alpha)
+    assert len(batch) == rows
+    for i, got in enumerate(batch):
+        a = alpha[i] if per_row else alpha
+        alone = regularize_svd(filt, op, y[i], a)
+        assert isinstance(alone, RegularizedSolution)
+        assert np.array_equal(got.x_alpha.coeffs, alone.x_alpha.coeffs)
+        assert got.alpha == alone.alpha == a
+        assert got.residual_norm == alone.residual_norm
+        # a vector keeps the bits of its 1-D series and of the 1-D norm of its residual
+        assert np.array_equal(alone.x_alpha.coeffs, spectral_series(filt, op, y[i], a))
+        assert alone.residual_norm == np.linalg.norm(apply(op, alone.x_alpha).coeffs - y[i])
 
 
 @PROPERTY
