@@ -20,9 +20,11 @@ Every rule takes a batch of R data rows and returns one result per row; a
 single realization is R = 1.  How a rule walks the rows is its own
 business: the balancing rule handles all R at once (a :class:`LevelData`, so
 the known-delta and the estimated-delta pipelines, and the noise-level
-estimator, read the same projected observations), while the oracle and the
-discrepancy principle share their per-batch setup and work through the
-rows in blocks, one batched solve per block and alpha.
+estimator, read the same projected observations), while the alpha-grid
+rules, the oracle and the discrepancy principle, share one loop over row
+blocks: one U^T y per block, each row's alpha read off an (alphas, rank)
+table of that U^T y (the error of the oracle, the residual of the
+discrepancy principle), and one batched solve at the chosen alphas.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .discretization import LevelData, LevelSchedule, embed_vector, n_of, project_operator
 from .errors import WhiteNoiseError, require_finite
-from .filters import Filter, filter_value, regularize_svd, tikhonov
+from .filters import Filter, bias_value, filter_value, regularize_svd, tikhonov
 from .grid import Grid, L2Vector
 from .noise import Observation
 from .noise_level import EstimatorConfig, NoiseEstimate, refine_delta_hat
@@ -106,7 +108,7 @@ class LepskiiConfig:
 
 # Entries of a block of fine-grid rows that a rule holds at once: the
 # differences in LepskiiResult.errors, the data rows of one oracle or
-# discrepancy block, and the oracle's (rows, alphas, rank) scores.
+# discrepancy block, and their (rows, alphas, rank) score tables.
 _CHUNK = 2**16
 
 # The balancing candidates are Tikhonov solutions.
@@ -211,6 +213,36 @@ class LevelSolverCache:
         return self._ops[n]
 
 
+def _solve_rows(filt: Filter, op: DiscreteOperator, obs: Observation, alphas: np.ndarray, pick) -> list:
+    """Every row of ``obs`` solved at the grid alpha its (alphas, rank) table picks.
+
+    The rows go in blocks of ``_CHUNK // n``: one U^T y for the block, then
+    ``pick(c, rows)`` on slices of rows whose (rows, alphas, rank) tables hold
+    at most ``_CHUNK`` entries, returning each row's index into the sorted
+    ``alphas``, and one batched ``regularize_svd`` that solves every row of
+    the block at its own alpha.  Returns one ``RegularizedSolution`` per row,
+    each bit-equal to the row solved alone.
+    """
+    ys = np.atleast_2d(obs.coeffs)
+    block, step = max(1, _CHUNK // op.n), max(1, _CHUNK // max(1, alphas.size * op.rank))
+    sols = []
+    for b in range(0, ys.shape[0], block):
+        rows = ys[b : b + block]
+        c = op.uty(rows)
+        picks = np.empty(rows.shape[0], dtype=int)
+        for k in range(0, picks.size, step):
+            picks[k : k + step] = pick(c[k : k + step], rows[k : k + step])
+        sols.extend(regularize_svd(filt, op, rows, alphas[picks]))
+    return sols
+
+
+def _sorted_grid(alpha_grid: Sequence[float]) -> np.ndarray:
+    alphas = np.sort(np.asarray(alpha_grid, dtype=float))
+    if alphas.size == 0:
+        raise ValueError("alpha grid is empty")
+    return alphas
+
+
 def oracle_choice(
     op: DiscreteOperator,
     x_true: L2Vector,
@@ -225,33 +257,25 @@ def oracle_choice(
     s U^T y, so ||x_alpha - x_true|| and ||w_alpha - V_r^T x_true|| differ
     only by the part of x_true outside range(V_r), which is the same for
     every alpha.  V_r^T x_true and the sorted grid are computed once for the
-    batch.  The rows go in blocks of ``_CHUNK // n``: one U^T y for the
-    block, the (rows, alphas, rank) scores in slices of at most ``_CHUNK``
-    entries, and one batched ``regularize_svd`` that solves every row at its
-    own winner.  Returns ``(alpha, error, x_alpha)`` of that solve for every
-    row of ``obs`` (one realization is one row), each bit-equal to the row
+    batch; the rows are scored and solved in blocks (``_solve_rows``).
+    Returns ``(alpha, error, x_alpha)`` of the winner's solve for every row
+    of ``obs`` (one realization is one row), each bit-equal to the row
     scored and solved alone; ties break toward the smallest alpha.
     """
-    alphas = np.sort(np.asarray(alpha_grid, dtype=float))
-    if alphas.size == 0:
-        raise ValueError("alpha grid is empty")
+    alphas = _sorted_grid(alpha_grid)
     s = op.s[: op.rank]
     # same product order as spectral_series, one row per alpha
     gains = filter_value(filt, alphas[:, None], s**2) * s
     target = op.vtx(x_true.coeffs)
-    ys = np.atleast_2d(obs.coeffs)
-    block, step = max(1, _CHUNK // op.n), max(1, _CHUNK // gains.size)
+
+    def pick(c, rows):
+        scores = np.linalg.norm(gains * c[:, None] - target, axis=-1)
+        return np.argmin(scores, axis=-1)  # the first, smallest alpha
+
     picks = []
-    for b in range(0, ys.shape[0], block):
-        rows = ys[b : b + block]
-        c = op.uty(rows)
-        best = np.empty(rows.shape[0])
-        for k in range(0, best.size, step):
-            scores = np.linalg.norm(gains * c[k : k + step, None] - target, axis=-1)
-            best[k : k + step] = alphas[np.argmin(scores, axis=-1)]  # the first, smallest alpha
-        for sol in regularize_svd(filt, op, rows, best):
-            x = sol.x_alpha
-            picks.append((sol.alpha, float(np.linalg.norm(x.coeffs - x_true.coeffs)), x))
+    for sol in _solve_rows(filt, op, obs, alphas, pick):
+        x = sol.x_alpha
+        picks.append((sol.alpha, float(np.linalg.norm(x.coeffs - x_true.coeffs)), x))
     return picks
 
 
@@ -273,12 +297,16 @@ def discrepancy_principle(
     """Largest grid alpha whose residual stays within tau_dp * delta, per row.
 
     Returns one result for every row of ``obs`` (one realization is one
-    row).  The rows go in blocks of ``_CHUNK // n``; each block walks the
-    grid downward with one batched ``regularize_svd`` per alpha over the
-    rows that no larger alpha satisfied, so every row keeps the bits of its
-    own scan.  A row falls back to the smallest grid alpha, with
-    ``satisfied`` false, when no alpha qualifies.  Requires noise that is
-    bounded in norm (dirac or scaled_rv); white-noise observations are
+    row).  The residuals of the whole grid are read off each row's
+    c = U_r^T y: T x_alpha - y has the components b_alpha(s_k^2) c_k in the
+    left singular basis, b_alpha the filter's bias, plus the part of y
+    outside range(U_r), whose squared norm ||y||^2 - ||c||^2 is added when
+    the rank is below n (at full rank it is zero up to a cancellation error
+    that would swamp small residuals).  A row falls back to the smallest
+    grid alpha, with ``satisfied`` false, when no alpha qualifies.
+    ``satisfied`` is this verdict; ``residual`` and ``x_alpha`` come from
+    the winner's ``regularize_svd`` (``_solve_rows``).  Requires noise that
+    is bounded in norm (dirac or scaled_rv); white-noise observations are
     rejected because their residual norm diverges with the discretization
     level and the rule loses its meaning.
     """
@@ -289,34 +317,27 @@ def discrepancy_principle(
             "the discrepancy principle cannot be applied to white-noise "
             "observations; use dirac or scaled_rv noise"
         )
-    alphas = np.sort(np.asarray(alpha_grid, dtype=float))
-    if alphas.size == 0:
-        raise ValueError("alpha grid is empty")
+    alphas = _sorted_grid(alpha_grid)
     threshold = tau_dp * obs.delta
-    ys = np.atleast_2d(obs.coeffs)
-    block = max(1, _CHUNK // op.n)
-    results = []
-    for b in range(0, ys.shape[0], block):
-        rows = ys[b : b + block]
-        sols = [None] * rows.shape[0]
-        todo = np.arange(rows.shape[0])
-        for a in alphas[::-1]:
-            for i, sol in zip(todo, regularize_svd(filt, op, rows[todo], a)):
-                sols[i] = sol
-            todo = todo[[sols[i].residual_norm > threshold for i in todo]]
-            if todo.size == 0:
-                break
-        # a row still open after the scan keeps its solve at the smallest alpha: the fallback
-        results.extend(
-            DiscrepancyResult(
-                alpha=sol.alpha,
-                satisfied=sol.residual_norm <= threshold,
-                residual=sol.residual_norm,
-                x_alpha=sol.x_alpha,
-            )
-            for sol in sols
-        )
-    return results
+    bias = bias_value(filt, alphas[:, None], op.s[: op.rank] ** 2)
+    satisfied = []
+
+    def pick(c, rows):
+        t = bias * c[:, None]
+        res_sq = np.vecdot(t, t)
+        if op.rank < op.n:
+            res_sq += np.maximum(np.vecdot(rows, rows) - np.vecdot(c, c), 0.0)[:, None]
+        ok = np.sqrt(res_sq) <= threshold
+        any_ok = ok.any(axis=-1)
+        satisfied.extend(any_ok.tolist())
+        # the largest qualifying alpha, else the smallest alpha
+        return np.where(any_ok, alphas.size - 1 - np.argmax(ok[:, ::-1], axis=-1), 0)
+
+    sols = _solve_rows(filt, op, obs, alphas, pick)
+    return [
+        DiscrepancyResult(alpha=sol.alpha, satisfied=ok, residual=sol.residual_norm, x_alpha=sol.x_alpha)
+        for sol, ok in zip(sols, satisfied)
+    ]
 
 
 @dataclass

@@ -102,8 +102,8 @@ def filter_value(filt: Filter, alpha, theta):
     return out if out.ndim else float(out)
 
 
-def bias_value(filt: Filter, alpha: float, theta):
-    """b_alpha(theta) = 1 - theta * F_alpha(theta)."""
+def bias_value(filt: Filter, alpha, theta):
+    """b_alpha(theta) = 1 - theta * F_alpha(theta); ``alpha`` broadcasts as in ``filter_value``."""
     theta = np.asarray(theta, dtype=float)
     out = 1.0 - theta * filter_value(filt, alpha, theta)
     return out if out.ndim else float(out)
@@ -189,15 +189,14 @@ def convergence_to_pseudoinverse(
     """Errors ||x_alpha - T+ y|| along a decreasing alpha sequence.
 
     For y in the range of the operator the sequence decreases to zero
-    (pointwise convergence of R_alpha to the generalized inverse).
+    (pointwise convergence of R_alpha to the generalized inverse).  All
+    alphas are solved in one batch of copies of ``y``, row k at alpha k.
     """
     y = L2Vector(op.grid, np.asarray(y_in_range, dtype=float))
     x_plus = generalized_inverse_apply(op, y, op.rank)
-    errors = [
-        float(np.linalg.norm(regularize_svd(filt, op, y.coeffs, a).x_alpha.coeffs - x_plus.coeffs))
-        for a in alpha_seq
-    ]
-    return np.array(errors)
+    alphas = np.asarray(alpha_seq, dtype=float)
+    sols = regularize_svd(filt, op, np.broadcast_to(y.coeffs, (alphas.size, op.n)), alphas)
+    return np.array([float(np.linalg.norm(sol.x_alpha.coeffs - x_plus.coeffs)) for sol in sols])
 
 
 @dataclass

@@ -115,6 +115,12 @@ class ExperimentConfig:
         self.delta_list = deltas
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
+        if self.lepskii_q <= 1.0:
+            raise ConfigError(f"lepskii.q must be > 1, got {self.lepskii_q}")
+        if self.lepskii_c_psi <= 0.0:
+            raise ConfigError(f"lepskii.C_psi must be positive, got {self.lepskii_c_psi}")
+        if self.tau_dp <= 1.0:
+            raise ConfigError(f"choice.tau_dp must be > 1, got {self.tau_dp}")
         if self.estimator.n0 > self.operator_n:
             # the estimator's first level would not exist and its delta_hat would read 0
             raise ConfigError(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from statinv import (
+    DiscreteOperator,
     EstimatorConfig,
     ExperimentConfig,
     Grid,
@@ -188,6 +189,62 @@ def test_discrepancy_returns_its_solution(op256, delta, satisfied):
     assert result.residual == sol.residual_norm
     if not satisfied:
         assert result.alpha == grid[0]
+
+
+def _brute_force_discrepancy(op, obs, filt, tau, grid):
+    """One full solve per grid alpha, downward, until the residual is within tau * delta.
+
+    The scan ``discrepancy_principle`` ran before it read its residuals off
+    U^T y; a row that no alpha satisfies keeps its solve at the smallest alpha.
+    """
+    for a in np.sort(np.asarray(grid, dtype=float))[::-1]:
+        sol = regularize_svd(filt, op, obs.coeffs, a)
+        if sol.residual_norm <= tau * obs.delta:
+            break
+    return sol, sol.residual_norm <= tau * obs.delta
+
+
+@pytest.fixture(scope="module")
+def rank_deficient64():
+    # every fourth singular value is zero, so the data have a part outside range(U_r)
+    d = np.linspace(1.0, 0.01, 64)
+    d[::4] = 0.0
+    return DiscreteOperator(Grid(64), np.diag(d))
+
+
+@pytest.fixture(params=["integration256", "min_kernel64", "rank_deficient64"])
+def discrepancy_op(request, op256, min_kernel64, rank_deficient64):
+    ops = {"integration256": op256, "min_kernel64": min_kernel64, "rank_deficient64": rank_deficient64}
+    return ops[request.param]
+
+
+@pytest.mark.parametrize("filt", [tikhonov(), spectral_cutoff()], ids=lambda f: f.kind)
+@pytest.mark.parametrize("kind", ["dirac", "scaled_rv"])
+@pytest.mark.parametrize(
+    "tau, top, satisfied",
+    [
+        (2.0, None, True),  # the smallest alpha's residual is below delta: every row qualifies
+        (1.05, 3, False),  # the three largest alphas only: rows fall back to the smallest of them
+    ],
+    ids=["satisfied", "fallback"],
+)
+def test_discrepancy_matches_brute_force_loop(discrepancy_op, tau, top, satisfied, kind, filt):
+    op = discrepancy_op
+    x = make_signal("smooth", op.grid)
+    direction = dirac_direction(op.grid)
+    verdicts = set()
+    for delta in (0.1, 0.01, 0.001):
+        grid = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op.norm**2, delta_input=delta).alphas
+        grid = grid[-top:] if top else grid
+        for seed in range(20):
+            spec = getattr(NoiseSpec, kind)(direction, seed=seed)
+            obs = observe(op, x, delta, spec)
+            [result] = discrepancy_principle(op, obs, filt, tau, grid)
+            ref, ok = _brute_force_discrepancy(op, obs, filt, tau, grid)
+            assert (result.alpha, result.satisfied, result.residual) == (ref.alpha, ok, ref.residual_norm)
+            assert np.array_equal(result.x_alpha.coeffs, ref.x_alpha.coeffs)
+            verdicts.add(ok)
+    assert satisfied in verdicts
 
 
 def test_discrepancy_noiseless_is_above_oracle(op256):

@@ -133,6 +133,22 @@ def test_non_finite_config_exits_2(tmp_path, capsys, extra):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("choice.tau_dp = 0.5\n", "choice.tau_dp must be > 1"),
+        ("lepskii.q = 1.0\n", "lepskii.q must be > 1"),
+        ("lepskii.C_psi = -1\n", "lepskii.C_psi must be positive"),
+    ],
+    ids=["tau_dp", "q", "C_psi"],
+)
+def test_invalid_rule_parameter_exits_2(tmp_path, capsys, extra, message):
+    # the rules reject these too, but only once a batch reaches them
+    cfg = _cfg_file(tmp_path, noise="dirac", method="discrepancy", extra=extra)
+    assert main(["choose", "--config", cfg]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_prime_operator_n_exits_2(tmp_path, capsys):
     # levels are divisors of operator.n: a prime n would put every level on the fine grid
     with pytest.raises(ConfigError, match="1021"):

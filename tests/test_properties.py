@@ -16,6 +16,7 @@ from statinv import (
     apply,
     build_holder_kernel_operator,
     build_integration_operator,
+    discrepancy_principle,
     draw_noise,
     embed_vector,
     estimate_delta_sq,
@@ -177,6 +178,51 @@ def test_batched_regularize_svd_rows_equal_single_solves(name, filt, rows, per_r
         # a vector keeps the bits of its 1-D series and of the 1-D norm of its residual
         assert np.array_equal(alone.x_alpha.coeffs, spectral_series(filt, op, y[i], a))
         assert alone.residual_norm == np.linalg.norm(apply(op, alone.x_alpha).coeffs - y[i])
+
+
+# every fourth singular value is zero, so data have a part outside range(U_r)
+_DEFICIENT = np.linspace(1.0, 0.01, 64)
+_DEFICIENT[::4] = 0.0
+RESIDUALS = {**SOLVES, "rank_deficient64": DiscreteOperator(Grid(64), np.diag(_DEFICIENT))}
+
+
+def _discrepancy_verdict(op, filt, y, alpha, threshold):
+    """Whether the discrepancy principle's residual table puts ``y`` at ``alpha`` within ``threshold``."""
+    xi = L2Vector(op.grid, y)
+    obs = Observation(
+        grid=op.grid, y_exact=xi, delta=threshold / 2.0, coeffs=y, noise=NoiseSpec.dirac(xi), seed_used=0
+    )
+    [result] = discrepancy_principle(op, obs, filt, 2.0, [alpha])
+    return result.satisfied
+
+
+@PROPERTY
+@given(
+    st.sampled_from(sorted(RESIDUALS)),
+    st.sampled_from([tikhonov(), spectral_cutoff()]),
+    st.floats(0.0, 1.0),
+    st.sampled_from([1e-1, 1e-2, 1e-3]),
+    st.integers(0, 2**31),
+)
+def test_spectral_residual_matches_the_applied_residual(name, filt, position, delta, seed):
+    # The discrepancy principle reads ||T x_alpha - y|| off U^T y.  It must
+    # call y satisfied at the applied residual plus the tolerance and not at
+    # the residual minus it: the two residuals agree to 1e-13 ||y|| absolute.
+    # A relative bound cannot hold where the residual is near 0.  alpha runs
+    # over the rule's grid range [delta^2, ||T||^2]: below it ||x_alpha||
+    # grows like delta / sqrt(alpha), and the applied residual's rounding
+    # with it.  Data outside the range carry noise of size delta, so the
+    # rank < n term ||y||^2 - ||c||^2 does not cancel to nothing.
+    op = RESIDUALS[name]
+    alpha = delta**2 * (op.norm**2 / delta**2) ** position
+    noise = np.random.default_rng(seed).standard_normal(op.n)
+    x = make_signal("smooth", op.grid)
+    y = apply(op, x).coeffs + delta * noise / np.linalg.norm(noise)
+    residual = regularize_svd(filt, op, y, alpha).residual_norm
+    tol = 1e-13 * np.linalg.norm(y)
+    assert _discrepancy_verdict(op, filt, y, alpha, residual + tol)
+    if residual > tol:
+        assert not _discrepancy_verdict(op, filt, y, alpha, residual - tol)
 
 
 @PROPERTY
