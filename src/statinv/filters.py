@@ -315,5 +315,5 @@ def monte_carlo_variance(
     spec = NoiseSpec.gaussian_white(seed)
     s = op.s[: op.rank]
     weights = filter_value(filt, alpha, s**2) * s
-    xi = np.stack([draw_noise(spec, op.grid, rep) for rep in range(replicates)])
+    xi = draw_noise(spec, op.grid, list(range(replicates)))
     return float(np.mean(np.sum((weights * op.uty(xi)) ** 2, axis=-1)))

@@ -28,7 +28,7 @@ from .discretization import LevelData, LevelSchedule, ladder_gap
 from .errors import ConfigError
 from .filters import Filter, regularize_svd, spectral_series, tikhonov, variance_bound
 from .grid import Grid, L2Vector
-from .noise import NoiseSpec, Observation, draw_noise, observe
+from .noise import NoiseSpec, draw_noise, observe
 from .noise_level import EstimatorConfig
 from .operators import DiscreteOperator, apply, build_holder_kernel_operator, build_integration_operator
 from .signals import dirac_direction, make_signal
@@ -300,17 +300,13 @@ class Study:
     def batch(self, di: int, reps: Optional[Sequence[int]] = None) -> LevelData:
         """Replicates ``reps`` (all by default) at ``delta_list[di]`` as one (R, n) batch.
 
-        Each replicate is drawn by ``observe`` from its own stream, in order;
-        the batch is projected once per level for all of them.
+        One ``observe`` call draws them all, replicate ``rep`` from the stream
+        of path (di, rep); the batch is projected once per level for all of them.
         """
         delta = self.cfg.delta_list[di]
         reps = range(self.cfg.replicates) if reps is None else reps
-        return LevelData(
-            Observation.stack(
-                observe(self.op, self.x_true, delta, self.spec, replicate=(di, rep), y_exact=self.y_exact)
-                for rep in reps
-            )
-        )
+        paths = [(di, rep) for rep in reps]
+        return LevelData(observe(self.op, self.x_true, delta, self.spec, replicate=paths, y_exact=self.y_exact))
 
 
 def build_study(cfg: ExperimentConfig) -> Study:
@@ -463,7 +459,7 @@ def run_bias_variance_check(
     bias_vec = x_true.coeffs - regularize_svd(filt, op, y, alpha).x_alpha.coeffs
     bias_sq = float(np.sum(bias_vec**2))
     spec = NoiseSpec.gaussian_white(seed)
-    xi = np.stack([draw_noise(spec, op.grid, rep) for rep in range(replicates)])
+    xi = draw_noise(spec, op.grid, list(range(replicates)))
     r_xi = spectral_series(filt, op, xi, alpha)  # (R, n), row i that of xi_i alone
     v_samples = np.sum(r_xi**2, axis=-1)
     d_samples = np.sum((bias_vec - delta * r_xi) ** 2, axis=-1) - delta**2 * v_samples

@@ -11,16 +11,21 @@ conventions for y_delta = y + delta * noise:
   stochastic settings).
 
 Randomness is counter-based: every draw is keyed by (seed, replicate path),
-so replicates are reproducible independently of evaluation order.
+so replicates are reproducible independently of evaluation order.  A list
+of replicate paths draws an (R, n) batch in one call, and row i of the batch
+is bit for bit the single draw of path i: each row comes from its own Philox
+stream, keyed by :func:`stream_key`, which is numpy's ``SeedSequence`` key
+derivation computed for all paths at once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Generator, Philox
 
 from .grid import Grid, L2Vector
 from .operators import DiscreteOperator, apply
@@ -39,18 +44,132 @@ __all__ = [
 NOISE_KINDS = ("gaussian_white", "dirac", "scaled_rv")
 
 ReplicateKey = Union[int, Tuple[int, ...]]
+# one replicate path, or a list of them for a batch
+Replicates = Union[ReplicateKey, Sequence[ReplicateKey]]
+
+# numpy's SeedSequence entropy mix (numpy/random/bit_generator.pyx; NEP 19
+# freezes the algorithm): a pool of four 32-bit words and its hash constants
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def stream_key(seed: int, replicate: ReplicateKey = 0) -> int:
-    """Collapse (seed, replicate path) into a single 64-bit stream key."""
-    path = (replicate,) if isinstance(replicate, (int, np.integer)) else tuple(replicate)
-    ss = SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return int(ss.generate_state(1, np.uint64)[0])
+def _hashmix(value, h: int, mult: int = _MULT_A):
+    """(hashed value, next hash constant); ``value`` is an int or a uint32 column."""
+    value = value ^ h
+    h = h * mult & _MASK32
+    value = value * h & _MASK32
+    return value ^ (value >> 16), h
+
+
+def _mix(x, y):
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _absorb(pool: list, h: int, word) -> int:
+    """Mix one more entropy word, or a uint32 column of them, into every pool word."""
+    for dst in range(_POOL):
+        v, h = _hashmix(word, h)
+        pool[dst] = _mix(pool[dst], v)
+    return h
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> Tuple[tuple, int]:
+    """Pool and hash constant once the seed's words are absorbed, before the path's."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    # with a spawn key, the seed is padded with zero words to the pool size
+    words += [0] * (_POOL - len(words))
+    pool, h = [], _INIT_A
+    for word in words[:_POOL]:
+        v, h = _hashmix(word, h)
+        pool.append(v)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                v, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], v)
+    for word in words[_POOL:]:
+        h = _absorb(pool, h, word)
+    return tuple(pool), h
+
+
+def _key_words(pool: Sequence, h: int, path) -> tuple:
+    """Low and high 32-bit words of the key after absorbing ``path``'s words or columns."""
+    pool = list(pool)
+    for word in path:
+        h = _absorb(pool, h, word)
+    lo, h = _hashmix(pool[0], _INIT_B, _MULT_B)
+    hi, _ = _hashmix(pool[1], h, _MULT_B)
+    return lo, hi
+
+
+def _is_single(replicate) -> bool:
+    return isinstance(replicate, (int, np.integer, tuple))
+
+
+def _path(replicate: ReplicateKey) -> Tuple[int, ...]:
+    path = (int(replicate),) if isinstance(replicate, (int, np.integer)) else tuple(map(int, replicate))
+    if path and not (0 <= min(path) and max(path) <= _MASK32):
+        raise ValueError(f"replicate path entries must lie in [0, 2**32), got {replicate!r}")
+    return path
+
+
+def stream_key(seed: int, replicate: Replicates = 0):
+    """64-bit stream key of (seed, replicate path).
+
+    Equal to ``SeedSequence(seed, spawn_key=path).generate_state(1, np.uint64)[0]``.
+    An int or a tuple is one path and gives an int; a list of paths gives a
+    uint64 array with one key per path.  Path entries lie in [0, 2**32).
+    """
+    pool, h = _seed_pool(seed)
+    if _is_single(replicate):
+        lo, hi = _key_words(pool, h, _path(replicate))
+        return lo | hi << 32
+    paths = [_path(r) for r in replicate]
+    keys = np.empty(len(paths), dtype=np.uint64)
+    # the seed's words are absorbed once; the paths' words as uint32 columns,
+    # one block per path depth
+    for depth in sorted({len(p) for p in paths}):
+        rows = [i for i, p in enumerate(paths) if len(p) == depth]
+        columns = np.array([paths[i] for i in rows], dtype=np.uint32).reshape(len(rows), depth).T
+        lo, hi = _key_words([np.full(len(rows), w, dtype=np.uint32) for w in pool], h, columns)
+        keys[rows] = lo.astype(np.uint64) | hi.astype(np.uint64) << 32
+    return keys
 
 
 def generator_for(key: int) -> Generator:
     """Philox generator for a stream key; replaying the key replays the draws."""
     return Generator(Philox(key=key))
+
+
+def _streams(keys):
+    """The generator of each key in turn: one Philox, reset to the key at counter 0.
+
+    A Philox stream is fixed by its key, so each one draws what
+    ``generator_for(key)`` draws, without building a generator per key.
+    """
+    bitgen = Philox(key=0)
+    rng = Generator(bitgen)
+    for key in keys:
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (key, 0)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 @dataclass(frozen=True)
@@ -111,7 +230,8 @@ class Observation:
             raise ValueError("coefficient length does not match the grid")
         if coeffs.ndim == 2 and len(self.seed_used) != coeffs.shape[0]:
             raise ValueError("a batch needs one seed_used key per row")
-        coeffs = coeffs.copy()
+        if not coeffs.flags.owndata:
+            coeffs = coeffs.copy()
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -134,49 +254,33 @@ class Observation:
             self.grid, self.y_exact, self.delta, self.coeffs[i], self.noise, self.seed_used[i]
         )
 
-    @classmethod
-    def stack(cls, observations) -> "Observation":
-        """One (R, n) batch of single observations of the same model, in order."""
-        obs = list(observations)
-        if not obs:
-            raise ValueError("cannot stack an empty sequence of observations")
-        first = obs[0]
-        for o in obs:
-            same = (o.grid, o.delta, o.noise) == (first.grid, first.delta, first.noise)
-            if o.coeffs.ndim != 1 or not same:
-                raise ValueError("a batch stacks single observations of one model")
-            if o.y_exact is not first.y_exact and not np.array_equal(
-                o.y_exact.coeffs, first.y_exact.coeffs
-            ):
-                raise ValueError("a batch shares one exact data vector")
-        coeffs = np.stack([o.coeffs for o in obs])
-        keys = tuple(o.seed_used for o in obs)
-        del obs  # free the single rows before the constructor copies the stack
-        return cls(first.grid, first.y_exact, first.delta, coeffs, first.noise, keys)
-
 
 def draw_noise(
-    spec: NoiseSpec, grid: Grid, replicate: ReplicateKey = 0, *, key: Optional[int] = None
+    spec: NoiseSpec, grid: Grid, replicate: Replicates = 0, *, key: Union[int, np.ndarray, None] = None
 ) -> np.ndarray:
-    """One realization of the noise coordinates on ``grid``.
+    """Noise coordinates on ``grid``: shape (n,) for one replicate, (R, n) for a list.
 
     Deterministic in (seed, replicate, n): the same key always reproduces the
-    same vector bit for bit.  ``key`` is ``stream_key(spec.seed, replicate)``
+    same vector bit for bit, and row i of a list's draw is the draw of
+    ``replicate[i]`` alone.  ``key`` is ``stream_key(spec.seed, replicate)``
     when the caller has derived it already.
     """
-    n = grid.n_cells
-    if key is None and spec.kind != "dirac":
-        key = stream_key(spec.seed, replicate)
-    if spec.kind == "gaussian_white":
-        return generator_for(key).standard_normal(n)
-    if spec.xi.grid != grid:
+    single = _is_single(replicate)
+    if spec.kind != "gaussian_white" and spec.xi.grid != grid:
         raise ValueError("base vector lives on a different grid")
     if spec.kind == "dirac":
-        return spec.xi.coeffs.copy()
+        return spec.xi.coeffs.copy() if single else np.tile(spec.xi.coeffs, (len(replicate), 1))
+    if key is None:
+        key = stream_key(spec.seed, replicate)
+    keys = [key] if single else key
+    if spec.kind == "gaussian_white":
+        xi = np.empty(grid.n_cells if single else (len(keys), grid.n_cells))
+        for rng, row in zip(_streams(keys), xi.reshape(len(keys), -1)):
+            rng.standard_normal(out=row)
+        return xi
     # scaled_rv: random sign on the fixed base vector
-    rng = generator_for(key)
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    return sign * spec.xi.coeffs
+    signs = np.array([1.0 if rng.random() < 0.5 else -1.0 for rng in _streams(keys)])
+    return signs[0] * spec.xi.coeffs if single else signs[:, None] * spec.xi.coeffs
 
 
 def observe(
@@ -184,14 +288,16 @@ def observe(
     x_true: L2Vector,
     delta: float,
     spec: NoiseSpec,
-    replicate: ReplicateKey = 0,
+    replicate: Replicates = 0,
     *,
     y_exact: Optional[L2Vector] = None,
 ) -> Observation:
     """Assemble an observation Y_delta = Q T x + delta * Xi on the operator grid.
 
-    ``y_exact`` is ``apply(op, x_true)`` when the caller already has it, so
-    that a study over many replicates applies the operator once.
+    A list of replicate paths gives one (R, n) batch whose row i is bit for
+    bit the observation of ``replicate[i]`` alone.  ``y_exact`` is
+    ``apply(op, x_true)`` when the caller already has it, so that a study
+    over many replicates applies the operator once.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -200,14 +306,17 @@ def observe(
     elif y_exact.grid != op.grid:
         raise ValueError("exact data and operator grids do not match")
     key = stream_key(spec.seed, replicate)
-    xi = draw_noise(spec, op.grid, replicate, key=key)
+    coeffs = draw_noise(spec, op.grid, replicate, key=key)
+    # in place, with the bits of y + delta * xi: IEEE addition commutes
+    coeffs *= delta
+    coeffs += y_exact.coeffs
     return Observation(
         grid=op.grid,
         y_exact=y_exact,
         delta=float(delta),
-        coeffs=y_exact.coeffs + delta * xi,
+        coeffs=coeffs,
         noise=spec,
-        seed_used=key,
+        seed_used=key if isinstance(key, int) else tuple(key.tolist()),
     )
 
 

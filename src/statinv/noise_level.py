@@ -29,7 +29,7 @@ from .discretization import LevelData, LevelSchedule, project
 from .errors import DataUnavailableError, require_finite
 from .grid import L2Vector
 from .noise import NoiseSpec, Observation, observe, pointwise_values
-from .operators import DiscreteOperator, apply
+from .operators import DiscreteOperator
 
 __all__ = [
     "NoiseEstimate",
@@ -224,10 +224,7 @@ def omega_plus_rate(
         raise ValueError(f"level {n} is not nested in the operator grid {op.n}")
     if spec is None:
         spec = NoiseSpec.gaussian_white(seed)
-    y = apply(op, x_true)
-    obs = Observation.stack(
-        observe(op, x_true, delta, spec, replicate=rep, y_exact=y) for rep in range(replicates)
-    )
+    obs = observe(op, x_true, delta, spec, replicate=list(range(replicates)))
     delta_hat = tau * np.sqrt(estimate_delta_sq(project(obs, n)))
     hits = int(np.count_nonzero((delta <= delta_hat) & (delta_hat <= K * tau * delta)))
     return ConcentrationReport(

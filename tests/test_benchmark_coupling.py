@@ -87,6 +87,10 @@ def test_every_traced_entry_point_but_the_retired_solver_exists(tmp_path, name):
     record = _traced_record(tmp_path, name)
     # LevelSolverCache.solver went with the per-level Tikhonov solvers
     assert record["missing"] == ["choice.LevelSolverCache.solver"]
+    # the benchmark's setup_s ends at the first observe, which draws every replicate of a delta
+    deltas = next(line for line in STUDIES[name].splitlines() if line.startswith("delta_list"))
+    assert _spans(record, "noise.observe") == len(deltas.split(","))
+    assert _spans(record, "noise.draw_noise") > 0
     if name == "veto":
         assert record["refine"]["calls"] > 0
         assert record["refine"]["iterations"] > 0

@@ -388,7 +388,7 @@ def test_data_driven_estimates_equal_each_row_refined_alone(op64):
     x = make_signal("source", op64.grid, op=op64, nu=1.0, amplitude=10.0)
     spec = NoiseSpec.gaussian_white(17)
     y = apply(op64, x)
-    batch = Observation.stack(observe(op64, x, 0.05, spec, replicate=rep, y_exact=y) for rep in range(3))
+    batch = observe(op64, x, 0.05, spec, replicate=[0, 1, 2], y_exact=y)
     sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=1.0, n_max=64)
     template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op64.norm**2, delta_input=0.05)
     estimates, _, _ = data_driven_choose(op64, LevelData(batch), EstimatorConfig(), template, sched)
@@ -436,7 +436,7 @@ def test_batched_lepskii_matches_the_scalar_rule(n, kind, delta):
     sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=n)
     spec = NoiseSpec.gaussian_white(11) if kind == "gaussian_white" else NoiseSpec.dirac(dirac_direction(op.grid))
     y = apply(op, x)
-    batch = Observation.stack(observe(op, x, delta, spec, replicate=rep, y_exact=y) for rep in range(6))
+    batch = observe(op, x, delta, spec, replicate=list(range(6)), y_exact=y)
     template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op.norm**2, delta_input=delta)
     known = lepskii_choose(op, LevelData(batch), template, sched)
     estimates, estimated, xs = data_driven_choose(op, LevelData(batch), EstimatorConfig(), template, sched)
@@ -493,7 +493,7 @@ BOUNDARY_GRID = np.geomspace(1e-6, 1e-1, 12)[9:]
 
 def _rows(op, x, delta, spec, reps):
     singles = [observe(op, x, delta, spec, replicate=rep) for rep in range(reps)]
-    return Observation.stack(singles), singles
+    return observe(op, x, delta, spec, replicate=list(range(reps))), singles
 
 
 def test_oracle_rows_across_a_block_boundary_equal_single_rows():

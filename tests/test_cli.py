@@ -306,3 +306,18 @@ def test_min_kernel_choices_are_independent_of_the_blas_thread_count(tmp_path, n
     # reruns and thread counts: identical CSV bytes and chosen alphas
     assert runs["1", "a"] == runs["1", "b"] == runs["2", "a"] == runs["2", "b"]
     assert len(runs["1", "a"][1]) == 2 * 3
+
+
+@pytest.mark.parametrize("cfg_text", [VETO_SMALL_CFG, BASE_CFG.format(noise="gaussian_white", method="oracle")])
+def test_converge_does_not_import_numpy_ma(tmp_path, cfg_text):
+    # the first np.unique imports numpy.ma, about 20 ms inside the timed study
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(cfg_text)
+    script = (
+        "import sys\nfrom statinv.cli import main\n"
+        f"code = main(['converge', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out.csv')!r}])\n"
+        "print('numpy.ma' in sys.modules)\nsys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"

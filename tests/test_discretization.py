@@ -171,7 +171,7 @@ def test_level_data_computes_a_batch_statistic_once_per_level():
     op = build_integration_operator(Grid(64))
     x = make_signal("smooth", op.grid)
     spec = NoiseSpec.gaussian_white(seed=8)
-    data = LevelData(Observation.stack(observe(op, x, 0.05, spec, replicate=rep) for rep in range(3)))
+    data = LevelData(observe(op, x, 0.05, spec, replicate=[0, 1, 2]))
     calls = []
 
     def row_sums(obs):

@@ -172,8 +172,9 @@ def test_mse_study_oracle_decreases():
     "study, method",
     [("mse", "oracle"), ("mse", "discrepancy"), ("veto", "lepskii_estimated_delta")],
 )
-def test_studies_observe_once_per_replicate(monkeypatch, study, method):
-    # the benchmark times a study from its first observe call, found by this name
+def test_studies_observe_once_per_delta(monkeypatch, study, method):
+    # the benchmark times a study from its first observe call, found by this name;
+    # each call draws every replicate of one delta
     calls = []
     real_observe = statinv.harness.observe
 
@@ -194,8 +195,8 @@ def test_studies_observe_once_per_replicate(monkeypatch, study, method):
     )
     run = run_mse_study if study == "mse" else run_veto_study
     run(cfg)
-    assert len(calls) == len(cfg.delta_list) * cfg.replicates
-    assert calls == [(di, rep) for di in range(3) for rep in range(4)]
+    assert len(calls) == len(cfg.delta_list)
+    assert calls == [[(di, rep) for rep in range(4)] for di in range(3)]
 
 
 def test_veto_study_projects_each_realization_level_once(monkeypatch):

@@ -12,6 +12,7 @@ from statinv import (
     observe,
     pointwise_values,
 )
+from statinv.noise import generator_for, stream_key
 from statinv.signals import dirac_direction, make_signal
 
 GRID16 = Grid(16)
@@ -213,3 +214,70 @@ def test_observe_derives_the_stream_key_once(op64, monkeypatch, kind):
         assert np.array_equal(obs.coeffs, obs.y_exact.coeffs + 0.05 * xi)
         assert obs.seed_used == real_key(9, rep)
         keys.clear()
+
+
+KEY_SEEDS = [0, 7, 20260811, 2**32 - 1, 2**32, 2**63 + 5, (1 << 96) + 12345]
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_stream_key_is_the_seed_sequence_key(seed):
+    paths = [0, 3, 2**32 - 1, (0, 0), (2, 5), (2**32 - 1, 7), (1, 2, 3), (9, 0, 2**31)]
+    expected = [
+        int(np.random.SeedSequence(seed, spawn_key=(p,) if isinstance(p, int) else p).generate_state(1, np.uint64)[0])
+        for p in paths
+    ]
+    assert [stream_key(seed, p) for p in paths] == expected
+    # a list of paths gives the same keys at once, one block per path depth
+    keys = stream_key(seed, paths)
+    assert keys.dtype == np.uint64 and keys.tolist() == expected
+    pairs = [(di, rep) for di in range(3) for rep in range(100)]
+    assert stream_key(seed, pairs).tolist() == [stream_key(seed, p) for p in pairs]
+
+
+@pytest.mark.parametrize("bad", [-1, 2**32, (0, -1), (2**32, 0), [(0, 1), (0, 2**32)]])
+def test_stream_key_rejects_path_entries_outside_32_bits(bad):
+    with pytest.raises(ValueError):
+        stream_key(3, bad)
+
+
+@pytest.mark.parametrize("kind", ["gaussian_white", "scaled_rv", "dirac"])
+def test_a_batch_row_is_the_single_observation(op64, kind):
+    x = make_signal("smooth", op64.grid)
+    direction = dirac_direction(op64.grid)
+    spec = {
+        "gaussian_white": NoiseSpec.gaussian_white(seed=5),
+        "scaled_rv": NoiseSpec.scaled_rv(direction, seed=5),
+        "dirac": NoiseSpec.dirac(direction, seed=5),
+    }[kind]
+    keys = [(1, rep) for rep in range(40)]
+    batch = observe(op64, x, 0.05, spec, replicate=keys)
+    assert batch.coeffs.shape == (40, 64) and len(batch.seed_used) == 40
+    assert np.array_equal(batch.coeffs, batch.y_exact.coeffs + 0.05 * draw_noise(spec, op64.grid, keys))
+    signs = set()
+    for i, key in enumerate(keys):
+        single = observe(op64, x, 0.05, spec, replicate=key)
+        assert np.array_equal(batch.coeffs[i], single.coeffs)
+        assert batch.seed_used[i] == single.seed_used
+        assert np.array_equal(batch.row(i).coeffs, single.coeffs)
+        # the key alone replays the row
+        rng = generator_for(batch.seed_used[i])
+        if kind == "gaussian_white":
+            xi = rng.standard_normal(64)
+        elif kind == "scaled_rv":
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            signs.add(sign)
+            xi = sign * direction.coeffs
+        else:
+            xi = direction.coeffs
+        assert np.array_equal(batch.coeffs[i], batch.y_exact.coeffs + 0.05 * xi)
+    if kind == "scaled_rv":
+        assert signs == {1.0, -1.0}
+
+
+def test_observation_owns_its_coefficients(op64):
+    x = make_signal("smooth", op64.grid)
+    batch = observe(op64, x, 0.05, NoiseSpec.gaussian_white(seed=2), replicate=[0, 1])
+    assert batch.coeffs.flags.owndata and not batch.coeffs.flags.writeable
+    # a row is a view of the batch, so it is copied
+    row = batch.row(1)
+    assert row.coeffs.flags.owndata and not np.shares_memory(row.coeffs, batch.coeffs)

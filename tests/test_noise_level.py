@@ -62,7 +62,7 @@ def test_estimate_batch_rows_equal_single_rows(op64):
     for op, reps in cases:
         x = make_signal("smooth", op.grid)
         rows = [observe(op, x, 0.1, spec, replicate=rep) for rep in range(reps)]
-        batch = Observation.stack(rows)
+        batch = observe(op, x, 0.1, spec, replicate=list(range(reps)))
         estimates = estimate_delta_sq(batch)
         assert estimates.shape == (reps,)
         for i, obs in enumerate(rows):

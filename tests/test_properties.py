@@ -300,6 +300,10 @@ def test_stream_key_replays(seed, replicates):
         first = draw_noise(spec, grid, r)
         assert np.array_equal(first, draw_noise(spec, grid, r, key=key))
         assert np.array_equal(first, generator_for(key).standard_normal(16))
+    # a list of paths, of one depth or mixed, gives the same keys and rows at once
+    assert stream_key(seed, replicates).tolist() == keys
+    rows = draw_noise(spec, grid, replicates)
+    assert np.array_equal(rows, np.stack([draw_noise(spec, grid, r) for r in replicates]))
 
 
 @PROPERTY
