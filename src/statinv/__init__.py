@@ -14,6 +14,7 @@ from .choice import (
     LepskiiConfig,
     LepskiiResult,
     LevelSolverCache,
+    OracleResult,
     data_driven_choose,
     discrepancy_principle,
     lepskii_choose,

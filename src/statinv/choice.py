@@ -16,36 +16,38 @@ the spectral series V_r F_alpha(s^2) s U_r^T y of the level operator through
 its ``uty`` and ``v``, so that all alphas and replicates reuse the singular
 system cached when the level is built.
 
-Every rule takes a batch of R data rows and returns one result per row; a
-single realization is R = 1.  How a rule walks the rows is its own
-business: the balancing rule handles all R at once (a :class:`LevelData`, so
-the known-delta and the estimated-delta pipelines, and the noise-level
-estimator, read the same projected observations), while the alpha-grid
-rules, the oracle and the discrepancy principle, share one loop over row
-blocks: one U^T y per block, each row's alpha read off an (alphas, rank)
-table of that U^T y (the error of the oracle, the residual of the
-discrepancy principle), and one batched solve at the chosen alphas.
+Every rule takes a batch of R data rows and returns one record of per-row
+arrays: the chosen alphas (R,), the chosen solutions (R, n) and the
+rule's diagnostics; a single realization is R = 1.  How a rule walks the
+rows is its own business: the balancing rule handles all R at once (a
+:class:`LevelData`, so the known-delta and the estimated-delta
+pipelines, and the noise-level estimator, read the same projected
+observations), while the alpha-grid rules, the oracle and the
+discrepancy principle, share one loop over row blocks: one U^T y per
+block, each row's alpha read off an (alphas, rank) table of that U^T y
+(the error of the oracle, the residual of the discrepancy principle),
+and one batched solve at the chosen alphas.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .discretization import LevelData, LevelSchedule, embed_vector, n_of, project_operator
-from .errors import WhiteNoiseError, require_finite
-from .filters import Filter, bias_value, filter_value, regularize_svd, tikhonov
-from .grid import Grid, L2Vector
+from .discretization import LevelData, LevelSchedule, n_of, project_operator
+from .errors import WhiteNoiseError, require_finite, require_finite_coeffs
+from .filters import Filter, RegularizedSolution, bias_value, filter_value, regularize_svd, tikhonov
+from .grid import L2Vector, distances
 from .noise import Observation
-from .noise_level import EstimatorConfig, NoiseEstimate, refine_delta_hat
+from .noise_level import EstimatorConfig, refine_delta_hat
 from .operators import DiscreteOperator, SourceCondition
 
 __all__ = [
     "LepskiiConfig",
-    "LepskiiRow",
     "LepskiiResult",
+    "OracleResult",
     "DiscrepancyResult",
     "LevelSolverCache",
     "oracle_choice",
@@ -115,86 +117,76 @@ _CHUNK = 2**16
 _TIKHONOV = tikhonov()
 
 
-@dataclass
-class LepskiiRow:
-    """Chosen index and candidate diagnostics for one data row.
+def _embed(x: np.ndarray, level: int, n: int) -> np.ndarray:
+    """Rows of level coefficients (k, level) embedded in the grid of n cells.
 
-    Candidate j is the Tikhonov solution at ``alphas[j]`` on its own level
-    ``levels[j]``; ``coeffs[j]`` holds it there and ``solutions[j]`` embeds it
-    in the fine grid, as ``x_star`` does for the chosen one.
+    Each row gets the bits ``embed_vector`` gives it alone; the scaling is
+    done in place, so the (k, n) result is the only temporary.
     """
-
-    j_star: int
-    alpha_star: float
-    m: int
-    kappa: float
-    alphas: np.ndarray
-    psi: np.ndarray
-    levels: list
-    coeffs: list
-    accepted: list
-    accepted_pairs_checked: int
-    accepted_is_prefix: bool
-    x_star: L2Vector
-    flags: list = field(default_factory=list)
-    alpha_check: Optional[float] = None
-    j_check: Optional[int] = None
-
-    @property
-    def solutions(self) -> list:
-        grid = self.x_star.grid
-        return [embed_vector(L2Vector(Grid(c.size), c), grid) for c in self.coeffs]
-
-    @property
-    def candidates(self) -> list:
-        """(alpha_j, ||x_j||, Psi(j)) per candidate."""
-        norms = [float(np.linalg.norm(c)) for c in self.coeffs]
-        return [(float(a), x, float(p)) for a, x, p in zip(self.alphas, norms, self.psi)]
+    out = np.repeat(x, n // level, axis=1)
+    out *= np.sqrt(level / n)
+    return out
 
 
 @dataclass
 class LepskiiResult:
-    """Balancing choices for the R rows of one data batch; row i is ``result[i]``.
+    """Balancing choices for the R rows of one data batch, as arrays over the rows.
 
-    ``levels`` (one entry per candidate), ``flags`` and the total
-    ``accepted_pairs_checked`` run over all rows.  ``blocks`` holds the
-    candidates level by level: ``(level, rows, indices, coeffs)``, with
-    ``coeffs[k]`` candidate ``indices[k]`` of row ``rows[k]``.
+    Row i has the candidates j = 0..m[i]; the (R, W) tables ``alphas``,
+    ``psi`` and ``candidate_levels`` hold candidate j of row i at [i, j],
+    W = max(m) + 1, and are nan (level 0) past a row's last candidate.
+    ``accepted[i, j]`` is true when candidate j >= 1 passed its checks
+    against every k < j, ``pairs[i]`` counts the pairs row i checked, and
+    ``row_flags[i]`` lists row i's flags.  ``x_star`` (R, n) holds each
+    row's chosen candidate embedded in the fine grid.  ``alpha_check`` and
+    ``j_check`` are the source-condition diagnostic per row, None without a
+    source.  ``blocks`` holds the candidates level by level:
+    ``(level, rows, indices, coeffs)``, with ``coeffs[k]`` candidate
+    ``indices[k]`` of row ``rows[k]``.
     """
 
-    rows: list
+    j_star: np.ndarray
+    alpha_star: np.ndarray
+    m: np.ndarray
+    kappa: np.ndarray
+    alphas: np.ndarray
+    psi: np.ndarray
+    candidate_levels: np.ndarray
+    accepted: np.ndarray
+    pairs: np.ndarray
+    row_flags: list
+    x_star: np.ndarray
     blocks: list
-
-    def __getitem__(self, i: int) -> LepskiiRow:
-        return self.rows[i]
+    alpha_check: Optional[np.ndarray] = None
+    j_check: Optional[np.ndarray] = None
 
     @property
     def levels(self) -> list:
-        return [level for row in self.rows for level in row.levels]
+        """The level of every candidate of every row, row by row."""
+        return self.candidate_levels[self.candidate_levels > 0].tolist()
 
     @property
     def flags(self) -> list:
-        return [flag for row in self.rows for flag in row.flags]
+        """The flags of every row, row by row."""
+        return [flag for flags in self.row_flags for flag in flags]
 
     @property
     def accepted_pairs_checked(self) -> int:
-        return sum(row.accepted_pairs_checked for row in self.rows)
+        return int(self.pairs.sum())
 
     def errors(self, x_true: L2Vector) -> np.ndarray:
-        """||x_true - x_j|| per row and candidate, (R, M); inf past a row's last one.
+        """||x_true - x_j|| per row and candidate, (R, W); inf past a row's last one.
 
         Each candidate is embedded from its own level as ``embed_vector``
         does, and its distance is the 1-D norm's dot product, so every entry
-        is bit-equal to ``np.linalg.norm(x_true.coeffs - solutions[j].coeffs)``.
+        is bit-equal to ``np.linalg.norm`` of that one candidate's difference.
         """
         n = x_true.grid.n_cells
-        out = np.full((len(self.rows), max(row.m for row in self.rows) + 1), np.inf)
+        out = np.full(self.alphas.shape, np.inf)
         step = max(1, _CHUNK // n)
         for level, ii, jj, x in self.blocks:
-            scale = np.sqrt(level / n)
             for k in range(0, ii.size, step):
-                d = np.repeat(x[k : k + step], n // level, axis=1)
-                d *= scale
+                d = _embed(x[k : k + step], level, n)
                 np.subtract(x_true.coeffs, d, out=d)
                 out[ii[k : k + step], jj[k : k + step]] = np.sqrt(np.vecdot(d, d))
         return out
@@ -213,27 +205,31 @@ class LevelSolverCache:
         return self._ops[n]
 
 
-def _solve_rows(filt: Filter, op: DiscreteOperator, obs: Observation, alphas: np.ndarray, pick) -> list:
+def _solve_rows(
+    filt: Filter, op: DiscreteOperator, obs: Observation, alphas: np.ndarray, pick
+) -> RegularizedSolution:
     """Every row of ``obs`` solved at the grid alpha its (alphas, rank) table picks.
 
     The rows go in blocks of ``_CHUNK // n``: one U^T y for the block, then
     ``pick(c, rows)`` on slices of rows whose (rows, alphas, rank) tables hold
     at most ``_CHUNK`` entries, returning each row's index into the sorted
     ``alphas``, and one batched ``regularize_svd`` that solves every row of
-    the block at its own alpha.  Returns one ``RegularizedSolution`` per row,
-    each bit-equal to the row solved alone.
+    the block at its own alpha.  Returns the blocks' solutions as one
+    ``RegularizedSolution`` of (R,) and (R, n) arrays, each row bit-equal to
+    the row solved alone.
     """
     ys = np.atleast_2d(obs.coeffs)
     block, step = max(1, _CHUNK // op.n), max(1, _CHUNK // max(1, alphas.size * op.rank))
-    sols = []
+    chosen, residual, x = np.empty(ys.shape[0]), np.empty(ys.shape[0]), np.empty(ys.shape)
     for b in range(0, ys.shape[0], block):
         rows = ys[b : b + block]
         c = op.uty(rows)
         picks = np.empty(rows.shape[0], dtype=int)
         for k in range(0, picks.size, step):
             picks[k : k + step] = pick(c[k : k + step], rows[k : k + step])
-        sols.extend(regularize_svd(filt, op, rows, alphas[picks]))
-    return sols
+        sol = regularize_svd(filt, op, rows, alphas[picks])
+        chosen[b : b + block], residual[b : b + block], x[b : b + block] = sol.alpha, sol.residual_norm, sol.x_alpha
+    return RegularizedSolution(alpha=chosen, x_alpha=x, residual_norm=residual, solver="svd_series")
 
 
 def _sorted_grid(alpha_grid: Sequence[float]) -> np.ndarray:
@@ -243,13 +239,22 @@ def _sorted_grid(alpha_grid: Sequence[float]) -> np.ndarray:
     return alphas
 
 
+@dataclass(frozen=True)
+class OracleResult:
+    """The oracle's choice for the R rows of a batch: alpha and true error (R,), solution x (R, n)."""
+
+    alpha: np.ndarray
+    error: np.ndarray
+    x: np.ndarray
+
+
 def oracle_choice(
     op: DiscreteOperator,
     x_true: L2Vector,
     obs: Observation,
     filt: Filter,
     alpha_grid: Sequence[float],
-) -> list:
+) -> OracleResult:
     """Grid alpha minimizing the true error ||x_alpha - x_true||, per row (benchmark only).
 
     The whole grid is scored in the right singular basis from each row's
@@ -258,9 +263,9 @@ def oracle_choice(
     only by the part of x_true outside range(V_r), which is the same for
     every alpha.  V_r^T x_true and the sorted grid are computed once for the
     batch; the rows are scored and solved in blocks (``_solve_rows``).
-    Returns ``(alpha, error, x_alpha)`` of the winner's solve for every row
-    of ``obs`` (one realization is one row), each bit-equal to the row
-    scored and solved alone; ties break toward the smallest alpha.
+    Returns the winner's alpha, error and solution for every row of ``obs``
+    (one realization is one row), each bit-equal to the row scored and
+    solved alone; ties break toward the smallest alpha.
     """
     alphas = _sorted_grid(alpha_grid)
     s = op.s[: op.rank]
@@ -272,19 +277,22 @@ def oracle_choice(
         scores = np.linalg.norm(gains * c[:, None] - target, axis=-1)
         return np.argmin(scores, axis=-1)  # the first, smallest alpha
 
-    picks = []
-    for sol in _solve_rows(filt, op, obs, alphas, pick):
-        x = sol.x_alpha
-        picks.append((sol.alpha, float(np.linalg.norm(x.coeffs - x_true.coeffs)), x))
-    return picks
+    sol = _solve_rows(filt, op, obs, alphas, pick)
+    return OracleResult(alpha=sol.alpha, error=distances(sol.x_alpha, x_true.coeffs), x=sol.x_alpha)
 
 
 @dataclass(frozen=True)
 class DiscrepancyResult:
-    alpha: float
-    satisfied: bool
-    residual: float
-    x_alpha: L2Vector
+    """The discrepancy principle's choice for the R rows of a batch.
+
+    ``alpha``, ``satisfied`` and ``residual`` ||T x - y|| are (R,) arrays,
+    the solution ``x`` is (R, n).
+    """
+
+    alpha: np.ndarray
+    satisfied: np.ndarray
+    residual: np.ndarray
+    x: np.ndarray
 
 
 def discrepancy_principle(
@@ -293,10 +301,10 @@ def discrepancy_principle(
     filt: Filter,
     tau_dp: float,
     alpha_grid: Sequence[float],
-) -> list:
+) -> DiscrepancyResult:
     """Largest grid alpha whose residual stays within tau_dp * delta, per row.
 
-    Returns one result for every row of ``obs`` (one realization is one
+    Returns the choice for every row of ``obs`` (one realization is one
     row).  The residuals of the whole grid are read off each row's
     c = U_r^T y: T x_alpha - y has the components b_alpha(s_k^2) c_k in the
     left singular basis, b_alpha the filter's bias, plus the part of y
@@ -304,8 +312,8 @@ def discrepancy_principle(
     the rank is below n (at full rank it is zero up to a cancellation error
     that would swamp small residuals).  A row falls back to the smallest
     grid alpha, with ``satisfied`` false, when no alpha qualifies.
-    ``satisfied`` is this verdict; ``residual`` and ``x_alpha`` come from
-    the winner's ``regularize_svd`` (``_solve_rows``).  Requires noise that
+    ``satisfied`` is this verdict; ``residual`` and ``x`` come from the
+    winner's ``regularize_svd`` (``_solve_rows``).  Requires noise that
     is bounded in norm (dirac or scaled_rv); white-noise observations are
     rejected because their residual norm diverges with the discretization
     level and the rule loses its meaning.
@@ -329,15 +337,14 @@ def discrepancy_principle(
             res_sq += np.maximum(np.vecdot(rows, rows) - np.vecdot(c, c), 0.0)[:, None]
         ok = np.sqrt(res_sq) <= threshold
         any_ok = ok.any(axis=-1)
-        satisfied.extend(any_ok.tolist())
+        satisfied.append(any_ok)
         # the largest qualifying alpha, else the smallest alpha
         return np.where(any_ok, alphas.size - 1 - np.argmax(ok[:, ::-1], axis=-1), 0)
 
-    sols = _solve_rows(filt, op, obs, alphas, pick)
-    return [
-        DiscrepancyResult(alpha=sol.alpha, satisfied=ok, residual=sol.residual_norm, x_alpha=sol.x_alpha)
-        for sol, ok in zip(sols, satisfied)
-    ]
+    sol = _solve_rows(filt, op, obs, alphas, pick)
+    return DiscrepancyResult(
+        alpha=sol.alpha, satisfied=np.concatenate(satisfied), residual=sol.residual_norm, x=sol.x_alpha
+    )
 
 
 @dataclass
@@ -414,14 +421,14 @@ def lepskii_choose(
         if id(c) not in ladders:
             ladders[id(c)] = _Ladder.build(c, data, sched, source)
     row_ladders = [ladders[id(c)] for c in cfgs]
-    width = max(lad.m for lad in row_ladders) + 1
-    alphas = np.ones((rows, width))
+    m = np.array([lad.m for lad in row_ladders])
+    width = int(m.max()) + 1
+    alphas, psi, band = (np.full((rows, width), np.nan) for _ in range(3))
     levels = np.zeros((rows, width), dtype=int)
-    band = np.full((rows, width), np.nan)
     for i, lad in enumerate(row_ladders):
         size = lad.m + 1
-        alphas[i, :size], levels[i, :size], band[i, :size] = lad.alphas, lad.levels, lad.band
-    m = np.array([lad.m for lad in row_ladders])
+        alphas[i, :size], psi[i, :size], band[i, :size] = lad.alphas, lad.psi, lad.band
+        levels[i, :size] = lad.levels
 
     # candidates: one U^T y per (batch, level), one product per level; the
     # distinct values come from bincount and sorted runs, as np.unique's first
@@ -430,7 +437,6 @@ def lepskii_choose(
     cells = int(np.lcm.reduce(present))
     embedded = np.zeros((rows, width, cells))
     blocks = []
-    coeffs = [[None] * (lad.m + 1) for lad in row_ladders]
     for level in present:
         ii, jj = np.nonzero(levels == level)  # ii is sorted
         first = np.concatenate(([True], ii[1:] != ii[:-1]))
@@ -439,13 +445,9 @@ def lepskii_choose(
         s = lop.s[: lop.rank]
         uty = lop.uty(data(level).coeffs.reshape(rows, level)[need])
         # each row bit-equal to spectral_series at its own alpha
-        x = lop.v(filter_value(_TIKHONOV, alphas[ii, jj][:, None], s**2) * s * uty[pos])
-        if not np.all(np.isfinite(x)):
-            raise ValueError("coefficients must be finite")
-        embedded[ii, jj] = np.repeat(x, cells // level, axis=1) * np.sqrt(level / cells)
+        x = require_finite_coeffs(lop.v(filter_value(_TIKHONOV, alphas[ii, jj][:, None], s**2) * s * uty[pos]))
+        embedded[ii, jj] = _embed(x, level, cells)
         blocks.append((level, ii, jj, x))
-        for k, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
-            coeffs[i][j] = x[k]
 
     # acceptance of j against k = 0, 1, ... for all rows at once; a row stops
     # checking j at its first failing k, as the scalar rule does
@@ -460,32 +462,35 @@ def lepskii_choose(
             checking &= ~(np.sqrt(np.vecdot(diff, diff)) > band[:, k])
         accepted[:, j] = checking
 
-    result_rows = []
-    for i, lad in enumerate(row_ladders):
-        acc = [int(j) for j in np.flatnonzero(accepted[i])]
-        j_star = acc[-1] if acc else 0
-        flags = lad.psi_flags + ([] if acc else ["lepskii_degenerate"]) + lad.source_flags
-        level = lad.levels[j_star]
-        result_rows.append(
-            LepskiiRow(
-                j_star=j_star,
-                alpha_star=float(lad.alphas[j_star]),
-                m=lad.m,
-                kappa=lad.kappa,
-                alphas=lad.alphas,
-                psi=lad.psi,
-                levels=lad.levels,
-                coeffs=coeffs[i],
-                accepted=acc,
-                accepted_pairs_checked=int(pairs[i]),
-                accepted_is_prefix=acc == list(range(1, j_star + 1)),
-                x_star=embed_vector(L2Vector(Grid(level), coeffs[i][j_star]), op.grid),
-                flags=flags,
-                alpha_check=lad.alpha_check,
-                j_check=lad.j_check,
-            )
-        )
-    return LepskiiResult(rows=result_rows, blocks=blocks)
+    # j* is the largest accepted index, 0 when none is; x* is embedded in
+    # the fine grid one level block at a time, each scaled coarse value
+    # broadcast over its fine cells, so no (rows, n) temporary is made
+    some = accepted.any(axis=1)
+    j_star = np.where(some, width - 1 - np.argmax(accepted[:, ::-1], axis=1), 0)
+    x_star = np.empty((rows, op.n))
+    for level, ii, jj, x in blocks:
+        hit = jj == j_star[ii]
+        x_star.reshape(rows, level, -1)[ii[hit]] = (x[hit] * np.sqrt(level / op.n))[:, :, None]
+    checked = source is not None
+    return LepskiiResult(
+        j_star=j_star,
+        alpha_star=alphas[np.arange(rows), j_star],
+        m=m,
+        kappa=np.array([lad.kappa for lad in row_ladders]),
+        alphas=alphas,
+        psi=psi,
+        candidate_levels=levels,
+        accepted=accepted,
+        pairs=pairs,
+        row_flags=[
+            lad.psi_flags + ([] if ok else ["lepskii_degenerate"]) + lad.source_flags
+            for lad, ok in zip(row_ladders, some.tolist())
+        ],
+        x_star=x_star,
+        blocks=blocks,
+        alpha_check=np.array([lad.alpha_check for lad in row_ladders]) if checked else None,
+        j_check=np.array([lad.j_check for lad in row_ladders]) if checked else None,
+    )
 
 
 def data_driven_choose(
@@ -496,15 +501,16 @@ def data_driven_choose(
     sched: LevelSchedule,
     source: Optional[SourceCondition] = None,
     cache: Optional[LevelSolverCache] = None,
-) -> Tuple[list, LepskiiResult, list]:
+) -> Tuple[list, LepskiiResult]:
     """Fully data-driven pipeline: estimate delta_hat per row, then balance with it.
 
     Each row's delta_hat comes from one ``refine_delta_hat`` call on that
     row, which reads the batch estimates ``raw_data`` caches per level, so
     every level's estimate is computed once for all rows; one batched
     ``lepskii_choose`` call then balances every row with its own estimate.
-    Returns the estimates, the Lepskii results and the chosen solution of
-    each row.  A non-converged estimate is flagged but still used.
+    Returns the estimates, one per row, and the Lepskii result, whose
+    ``x_star`` holds the chosen solutions.  A non-converged estimate is
+    flagged but still used.
     """
     rows = range(raw_data.rows)
     estimates = [refine_delta_hat(op, raw_data, est_cfg, sched, row=i) for i in rows]
@@ -512,9 +518,9 @@ def data_driven_choose(
     deltas = [e.delta_hat if e.delta_hat > 0.0 else 1e-12 for e in estimates]
     cfgs = [lep_cfg_template.with_delta(d) for d in deltas]
     result = lepskii_choose(op, raw_data, cfgs, sched, source=source, cache=cache)
-    for row, estimate in zip(result.rows, estimates):
+    for flags, estimate in zip(result.row_flags, estimates):
         if not estimate.converged:
-            row.flags.append("estimator_not_converged")
+            flags.append("estimator_not_converged")
         if estimate.delta_hat <= 0.0:
-            row.flags.append("delta_hat_floor")
-    return estimates, result, [row.x_star for row in result.rows]
+            flags.append("delta_hat_floor")
+    return estimates, result

@@ -107,21 +107,25 @@ def _cmd_choose(cfg: ExperimentConfig) -> int:
     study = build_study(cfg)
     data = study.batch(0, [0])
     obs = data.fine
-    chosen = choose(study, cfg.method, data)[0]
-    err = float(np.linalg.norm(chosen.x.coeffs - study.x_true.coeffs))
+    chosen = choose(study, cfg.method, data)
+    # the batch is one row: read row 0 of each of the choice's arrays
+    delta_hat, j_star, m, residual, satisfied = (
+        None if v is None else v[0].item()
+        for v in (chosen.delta_hat, chosen.j_star, chosen.m, chosen.residual, chosen.satisfied)
+    )
+    alpha, flags = chosen.alpha[0].item(), chosen.flags[0]
+    err = float(np.linalg.norm(chosen.x[0] - study.x_true.coeffs))
     print(f"method = {cfg.method}")
-    if chosen.delta_hat is not None:
-        print(f"delta_hat = {chosen.delta_hat:.17g} (true {obs.delta:.17g})")
-    if chosen.j_star is not None:
-        print(f"j_star = {chosen.j_star} (m = {chosen.m})")
-    print(f"alpha  = {chosen.alpha:.17g}")
-    if chosen.residual is not None:
-        print(f"residual = {chosen.residual:.17g}\nsatisfied = {chosen.satisfied}")
-    print(f"error  = {err:.17g}\nflags  = {chosen.flags}")
+    if delta_hat is not None:
+        print(f"delta_hat = {delta_hat:.17g} (true {obs.delta:.17g})")
+    if j_star is not None:
+        print(f"j_star = {j_star} (m = {m})")
+    print(f"alpha  = {alpha:.17g}")
+    if residual is not None:
+        print(f"residual = {residual:.17g}\nsatisfied = {satisfied}")
+    print(f"error  = {err:.17g}\nflags  = {flags}")
     if cfg.out is not None:
-        _write_choice_row(
-            cfg.out, obs.delta, chosen.delta_hat, chosen.j_star, chosen.alpha, err, chosen.flags
-        )
+        _write_choice_row(cfg.out, obs.delta, delta_hat, j_star, alpha, err, flags)
         print(f"wrote {cfg.out}")
     return 0
 

@@ -1,8 +1,12 @@
-"""Exception types and the finite-field check shared across the package."""
+"""Exception types and the finiteness checks shared across the package."""
 
 import math
 
-__all__ = ["ConfigError", "WhiteNoiseError", "DataUnavailableError", "require_finite"]
+import numpy as np
+
+__all__ = [
+    "ConfigError", "WhiteNoiseError", "DataUnavailableError", "require_finite", "require_finite_coeffs",
+]
 
 
 class ConfigError(Exception):
@@ -32,3 +36,14 @@ def require_finite(config) -> None:
     for name, value in vars(config).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def require_finite_coeffs(coeffs):
+    """Return ``coeffs``, or raise ``ValueError`` if an entry is nan or inf.
+
+    One check for a whole array of solution coefficients, a batch of rows
+    included.
+    """
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("coefficients must be finite")
+    return coeffs

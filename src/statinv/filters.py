@@ -19,11 +19,12 @@ identical and serve as mutual cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .grid import L2Vector
+from .errors import require_finite_coeffs
+from .grid import L2Vector, distances
 from .noise import NoiseSpec, draw_noise
 from .operators import DiscreteOperator, apply, generalized_inverse_apply
 
@@ -111,11 +112,16 @@ def bias_value(filt: Filter, alpha, theta):
 
 @dataclass(frozen=True)
 class RegularizedSolution:
-    """x_alpha = F_alpha(T*T) T* y together with its data residual."""
+    """x_alpha = F_alpha(T*T) T* y together with its data residual, for a vector or a batch.
 
-    alpha: float
-    x_alpha: L2Vector
-    residual_norm: float
+    ``x_alpha`` holds the coefficients, with the shape of ``y``; ``alpha``
+    and ``residual_norm`` have its row shape: floats for one data vector
+    (n,), (R,) arrays for a batch (R, n), one entry per row.
+    """
+
+    alpha: Union[float, np.ndarray]
+    x_alpha: np.ndarray
+    residual_norm: Union[float, np.ndarray]
     solver: str
 
 
@@ -131,36 +137,37 @@ def spectral_series(filt: Filter, op: DiscreteOperator, y: np.ndarray, alpha) ->
     return op.v(filter_value(filt, alpha, s**2) * s * op.uty(y))
 
 
-def regularize_svd(filt: Filter, op: DiscreteOperator, y: np.ndarray, alpha):
+def regularize_svd(filt: Filter, op: DiscreteOperator, y: np.ndarray, alpha) -> RegularizedSolution:
     """Spectral route: ``spectral_series`` together with the data residual ||T x_alpha - y||.
 
-    ``y`` is one data vector (n,), which gives one ``RegularizedSolution``,
-    or a batch (R, n), which gives a list of R of them; ``alpha`` is a float
-    or an (R,) array, one alpha per row.  A vector is solved as a batch of
-    one, and every row of a batch is bit-equal to that row solved alone at
-    its own alpha.
+    ``y`` is one data vector (n,) or a batch (R, n), and ``alpha`` a float
+    or an (R,) array, one alpha per row.  Returns one
+    ``RegularizedSolution`` whose fields have the shapes of ``y``.  A vector
+    is solved as a batch of one, and every row of a batch is bit-equal to
+    that row solved alone at its own alpha.  Raises ``ValueError`` if a
+    coefficient is not finite.
     """
     y = np.asarray(y, dtype=float)
     rows = np.atleast_2d(y)
     alphas = np.asarray(alpha, dtype=float)
     if alphas.ndim and alphas.shape != rows.shape[:1]:
         raise ValueError(f"{alphas.shape[0]} alphas for {rows.shape[0]} data rows")
-    coeffs = spectral_series(filt, op, rows, alphas[:, None] if alphas.ndim else alpha)
+    coeffs = require_finite_coeffs(spectral_series(filt, op, rows, alphas[:, None] if alphas.ndim else alpha))
     d = apply(op, coeffs) - rows
     residuals = np.sqrt(np.vecdot(d, d))  # the 1-D norm's dot product, row by row
-    sols = [
-        RegularizedSolution(
-            alpha=float(a), x_alpha=L2Vector(op.grid, c), residual_norm=float(r), solver="svd_series"
-        )
-        for a, c, r in zip(np.broadcast_to(alphas, residuals.shape), coeffs, residuals)
-    ]
-    return sols if y.ndim == 2 else sols[0]
+    # [()] turns the 0-d row shape of a vector into scalars
+    return RegularizedSolution(
+        alpha=np.broadcast_to(alphas, residuals.shape).reshape(y.shape[:-1])[()],
+        x_alpha=coeffs.reshape(y.shape),
+        residual_norm=residuals.reshape(y.shape[:-1])[()],
+        solver="svd_series",
+    )
 
 
 def regularize_normal_equations(
     op: DiscreteOperator, y: np.ndarray, alpha: float
 ) -> RegularizedSolution:
-    """Tikhonov via (alpha I + B^T B) x = B^T y with a direct SPD solve.
+    """Tikhonov via (alpha I + B^T B) x = B^T y with a direct SPD solve, for one data vector.
 
     Must agree with ``regularize_svd(tikhonov(), ...)`` to 1e-8 relative;
     the system is positive definite for every alpha > 0, so the Cholesky
@@ -174,10 +181,9 @@ def regularize_normal_equations(
     b = op.matrix
     gram = b.T @ b + alpha * np.eye(op.n)
     cho = scipy.linalg.cho_factor(gram, lower=True)
-    coeffs = scipy.linalg.cho_solve(cho, b.T @ y)
-    x = L2Vector(op.grid, coeffs)
+    coeffs = require_finite_coeffs(scipy.linalg.cho_solve(cho, b.T @ y))
     residual = float(np.linalg.norm(b @ coeffs - y))
-    return RegularizedSolution(alpha=float(alpha), x_alpha=x, residual_norm=residual, solver="normal_equations")
+    return RegularizedSolution(alpha=float(alpha), x_alpha=coeffs, residual_norm=residual, solver="normal_equations")
 
 
 def convergence_to_pseudoinverse(
@@ -195,8 +201,8 @@ def convergence_to_pseudoinverse(
     y = L2Vector(op.grid, np.asarray(y_in_range, dtype=float))
     x_plus = generalized_inverse_apply(op, y, op.rank)
     alphas = np.asarray(alpha_seq, dtype=float)
-    sols = regularize_svd(filt, op, np.broadcast_to(y.coeffs, (alphas.size, op.n)), alphas)
-    return np.array([float(np.linalg.norm(sol.x_alpha.coeffs - x_plus.coeffs)) for sol in sols])
+    sol = regularize_svd(filt, op, np.broadcast_to(y.coeffs, (alphas.size, op.n)), alphas)
+    return distances(sol.x_alpha, x_plus.coeffs)
 
 
 @dataclass

@@ -4,7 +4,9 @@ Functions in L2[0, 1] are represented by their coefficients against the
 orthonormal system phi_j = sqrt(n) * chi_[t_{j-1}, t_j), j = 1..n, on the
 equidistant partition t_j = j/n.  The L2 norm of a represented function is
 then the Euclidean norm of its coefficient vector, and the pointwise value
-on cell j equals sqrt(n) times the j-th coefficient.
+on cell j equals sqrt(n) times the j-th coefficient.  A batch of R functions
+on one grid is an (R, n) array of coefficient rows, and ``distances``
+measures every row against one reference.
 """
 
 from __future__ import annotations
@@ -13,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid", "L2Vector"]
+from .errors import require_finite_coeffs
+
+__all__ = ["Grid", "L2Vector", "distances"]
+
+# Entries of the difference block that ``distances`` holds at once.
+_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -58,9 +65,7 @@ class L2Vector:
             raise ValueError(
                 f"coefficient vector has shape {coeffs.shape}, expected ({grid.n_cells},)"
             )
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients must be finite")
-        coeffs = coeffs.copy()
+        coeffs = require_finite_coeffs(coeffs).copy()
         coeffs.setflags(write=False)
         self.grid = grid
         self.coeffs = coeffs
@@ -98,3 +103,18 @@ class L2Vector:
 
     def __repr__(self):
         return f"L2Vector(n={self.grid.n_cells}, norm={self.norm():.6g})"
+
+
+def distances(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """L2 distance ||ref - x_i|| of every coefficient row of ``x`` (R, n), as an (R,) array.
+
+    Each entry is the square root of the row's dot product, bit-equal to
+    ``np.linalg.norm`` of that row's difference alone.  The rows go a block
+    at a time, so the differences held at once stay small whatever R is.
+    """
+    out = np.empty(x.shape[0])
+    step = max(1, _CHUNK // x.shape[1])
+    for k in range(0, out.size, step):
+        d = ref - x[k : k + step]
+        out[k : k + step] = np.sqrt(np.vecdot(d, d))
+    return out

@@ -265,10 +265,11 @@ def effective_schedule(cfg: ExperimentConfig, op: DiscreteOperator) -> LevelSche
     return cfg.schedule.with_n_max(min(cfg.schedule.n_max, op.n))
 
 
-def _summarize(delta, method, x_true, chosen, epsilons) -> MseRow:
-    err_vectors = [x_true.coeffs - c.x.coeffs for c in chosen]
-    errs = np.array([float(np.linalg.norm(v)) for v in err_vectors])
-    mean_vec = np.mean(err_vectors, axis=0)
+def _summarize(delta, method, x_true, x, epsilons) -> MseRow:
+    """The Monte Carlo summary of the solutions ``x`` (R, n), one per replicate."""
+    d = x_true.coeffs - x
+    errs = np.sqrt(np.vecdot(d, d))  # the 1-D norm's dot product, row by row
+    mean_vec = np.mean(d, axis=0)
     mse_sq = float(np.mean(errs**2))
     bias_sq = float(np.sum(mean_vec**2))
     exceed = {eps: float(np.mean(errs > eps * x_true.norm())) for eps in epsilons}
@@ -321,8 +322,8 @@ def run_study(cfg: ExperimentConfig, methods: Sequence[str]):
 
     The replicates of one delta are drawn once as one batch by
     ``Study.batch`` and handed to every method through ``choose``.  Yields
-    ``(delta, x_true, choices)`` per delta, where ``choices[method]`` holds
-    that method's ``Choice`` per replicate.
+    ``(delta, x_true, choices)`` per delta, where ``choices[method]`` is
+    that method's ``Choice`` for all replicates.
     """
     study = build_study(cfg)
     for di, delta in enumerate(cfg.delta_list):
@@ -343,38 +344,40 @@ def run_mse_study(cfg: ExperimentConfig) -> list:
     """
     rows = []
     for delta, x_true, choices in run_study(cfg, (cfg.method,)):
-        rows.append(_summarize(delta, cfg.method, x_true, choices[cfg.method], cfg.epsilons))
+        rows.append(_summarize(delta, cfg.method, x_true, choices[cfg.method].x, cfg.epsilons))
         del choices  # before run_study draws the next batch
     return rows
 
 
 @dataclass
 class Choice:
-    """One method's parameter choice on one observation.
+    """One method's parameter choice on the R rows of a batch, as arrays over the rows.
 
-    ``j_star``, ``m`` and ``best_error`` (the least true error over the
-    Lepskii candidates) are set by the Lepskii methods, ``delta_hat`` by the
-    estimated-delta method, ``residual`` and ``satisfied`` by the
-    discrepancy principle.
+    ``alpha`` (R,) and the solutions ``x`` (R, n) are always set, and
+    ``flags`` lists each row's flags.  ``j_star``, ``m`` and ``best_error``
+    (the least true error over the Lepskii candidates) are set by the
+    Lepskii methods, ``delta_hat`` by the estimated-delta method,
+    ``residual`` and ``satisfied`` by the discrepancy principle; each is an
+    (R,) array.
     """
 
-    alpha: float
-    x: L2Vector
-    flags: list = field(default_factory=list)
-    j_star: Optional[int] = None
-    m: Optional[int] = None
-    delta_hat: Optional[float] = None
-    residual: Optional[float] = None
-    satisfied: Optional[bool] = None
-    best_error: Optional[float] = None
+    alpha: np.ndarray
+    x: np.ndarray
+    flags: list
+    j_star: Optional[np.ndarray] = None
+    m: Optional[np.ndarray] = None
+    delta_hat: Optional[np.ndarray] = None
+    residual: Optional[np.ndarray] = None
+    satisfied: Optional[np.ndarray] = None
+    best_error: Optional[np.ndarray] = None
 
 
-def choose(study: Study, method: str, data: LevelData) -> list:
+def choose(study: Study, method: str, data: LevelData) -> Choice:
     """Run ``method`` on every row of a batch of ``study``; the one dispatch over ``METHODS``.
 
-    Returns one ``Choice`` per row.  Every rule takes the whole batch in one
-    call and returns one result per row.  ``study.x_true`` is read by the
-    oracle and for the Lepskii ``best_error``.
+    Every rule takes the whole batch in one call, and its record of per-row
+    arrays becomes one ``Choice``.  ``study.x_true`` is read by the oracle
+    and for the Lepskii ``best_error``.
     """
     cfg, op, x_true, fine = study.cfg, study.op, study.x_true, data.fine
     template = LepskiiConfig(
@@ -383,42 +386,33 @@ def choose(study: Study, method: str, data: LevelData) -> list:
     filt = tikhonov()
     if method == "oracle":
         picks = oracle_choice(op, x_true, fine, filt, template.alphas)
-        return [Choice(alpha=alpha, x=x) for alpha, _, x in picks]
+        return Choice(alpha=picks.alpha, x=picks.x, flags=[[] for _ in range(fine.rows)])
     if method == "discrepancy":
-        dps = discrepancy_principle(op, fine, filt, cfg.tau_dp, template.alphas)
-        return [
-            Choice(
-                alpha=dp.alpha,
-                x=dp.x_alpha,
-                flags=[] if dp.satisfied else ["discrepancy_unsatisfied"],
-                residual=dp.residual,
-                satisfied=dp.satisfied,
-            )
-            for dp in dps
-        ]
-    delta_hats = [None] * fine.rows
+        dp = discrepancy_principle(op, fine, filt, cfg.tau_dp, template.alphas)
+        return Choice(
+            alpha=dp.alpha,
+            x=dp.x,
+            flags=[[] if ok else ["discrepancy_unsatisfied"] for ok in dp.satisfied.tolist()],
+            residual=dp.residual,
+            satisfied=dp.satisfied,
+        )
+    delta_hat = None
     if method == "lepskii_known_delta":
         lep = lepskii_choose(op, data, template, study.sched, cache=study.cache)
     elif method == "lepskii_estimated_delta":
-        estimates, lep, _ = data_driven_choose(
-            op, data, cfg.estimator, template, study.sched, cache=study.cache
-        )
-        delta_hats = [e.delta_hat for e in estimates]
+        estimates, lep = data_driven_choose(op, data, cfg.estimator, template, study.sched, cache=study.cache)
+        delta_hat = np.array([e.delta_hat for e in estimates])
     else:
         raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
-    best = lep.errors(x_true).min(axis=1)
-    return [
-        Choice(
-            alpha=row.alpha_star,
-            x=row.x_star,
-            flags=row.flags,
-            j_star=row.j_star,
-            m=row.m,
-            delta_hat=delta_hat,
-            best_error=float(b),
-        )
-        for row, delta_hat, b in zip(lep.rows, delta_hats, best)
-    ]
+    return Choice(
+        alpha=lep.alpha_star,
+        x=lep.x_star,
+        flags=lep.row_flags,
+        j_star=lep.j_star,
+        m=lep.m,
+        delta_hat=delta_hat,
+        best_error=lep.errors(x_true).min(axis=1),
+    )
 
 
 @dataclass
@@ -456,7 +450,7 @@ def run_bias_variance_check(
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     y = apply(op, x_true).coeffs
-    bias_vec = x_true.coeffs - regularize_svd(filt, op, y, alpha).x_alpha.coeffs
+    bias_vec = x_true.coeffs - regularize_svd(filt, op, y, alpha).x_alpha
     bias_sq = float(np.sum(bias_vec**2))
     spec = NoiseSpec.gaussian_white(seed)
     xi = draw_noise(spec, op.grid, list(range(replicates)))
@@ -499,9 +493,10 @@ def run_veto_study(cfg: ExperimentConfig) -> list:
     rows = []
     for delta, x_true, choices in run_study(cfg, pair):
         known, estimated = (choices[m] for m in pair)
-        known_row, est_row = (_summarize(delta, m, x_true, choices[m], ()) for m in pair)
-        e_orc = np.array([c.best_error for c in known])
-        hits = sum(delta <= c.delta_hat <= est.K * est.tau * delta for c in estimated)
+        known_row, est_row = (_summarize(delta, m, x_true, choices[m].x, ()) for m in pair)
+        e_orc = known.best_error
+        delta_hat = estimated.delta_hat
+        hits = np.count_nonzero((delta <= delta_hat) & (delta_hat <= est.K * est.tau * delta))
         rows.append(
             VetoRow(
                 delta=float(delta),
@@ -510,7 +505,7 @@ def run_veto_study(cfg: ExperimentConfig) -> list:
                 ratio=est_row.mc_mse / known_row.mc_mse,
                 hit_rate=hits / cfg.replicates,
                 mse_oracle=float(np.sqrt(np.mean(e_orc**2))),
-                m=known[0].m,
+                m=int(known.m[0]),
                 rep_count=cfg.replicates,
                 errors_known=known_row.errors,
                 errors_estimated=est_row.errors,

@@ -104,7 +104,7 @@ def _seed_pool(seed: int) -> Tuple[tuple, int]:
 
 
 def _key_words(pool: Sequence, h: int, path) -> tuple:
-    """Low and high 32-bit words of the key after absorbing ``path``'s words or columns."""
+    """Low and high 32-bit words of the keys after absorbing the uint32 word columns of ``path``."""
     pool = list(pool)
     for word in path:
         h = _absorb(pool, h, word)
@@ -128,14 +128,13 @@ def stream_key(seed: int, replicate: Replicates = 0):
     """64-bit stream key of (seed, replicate path).
 
     Equal to ``SeedSequence(seed, spawn_key=path).generate_state(1, np.uint64)[0]``.
-    An int or a tuple is one path and gives an int; a list of paths gives a
-    uint64 array with one key per path.  Path entries lie in [0, 2**32).
+    An int or a tuple is one path and gives an int, computed as a list of
+    one; a list of paths gives a uint64 array with one key per path.  Path
+    entries lie in [0, 2**32).
     """
     pool, h = _seed_pool(seed)
-    if _is_single(replicate):
-        lo, hi = _key_words(pool, h, _path(replicate))
-        return lo | hi << 32
-    paths = [_path(r) for r in replicate]
+    single = _is_single(replicate)
+    paths = [_path(r) for r in ([replicate] if single else replicate)]
     keys = np.empty(len(paths), dtype=np.uint64)
     # the seed's words are absorbed once; the paths' words as uint32 columns,
     # one block per path depth
@@ -144,7 +143,7 @@ def stream_key(seed: int, replicate: Replicates = 0):
         columns = np.array([paths[i] for i in rows], dtype=np.uint32).reshape(len(rows), depth).T
         lo, hi = _key_words([np.full(len(rows), w, dtype=np.uint32) for w in pool], h, columns)
         keys[rows] = lo.astype(np.uint64) | hi.astype(np.uint64) << 32
-    return keys
+    return int(keys[0]) if single else keys
 
 
 def generator_for(key: int) -> Generator:

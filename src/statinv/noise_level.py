@@ -109,25 +109,23 @@ class EstimatorConfig:
 def estimate_delta_sq(obs: Observation):
     """The first-difference estimate of delta^2 at the observation's level.
 
-    Works along the last axis: a float for one realization, an (R,) array
-    for a batch, each entry bit-equal to the estimate of its row alone.  A
-    batch is read a few rows at a time, so the temporaries stay small
-    whatever R is and the process does not map fresh pages for them on
-    every batch.
+    Works along the last axis: an (R,) array for a batch, each entry
+    bit-equal to the estimate of its row alone, and a float for one
+    realization, which runs as a batch of one.  A batch is read a few rows
+    at a time, so the temporaries stay small whatever R is and the process
+    does not map fresh pages for them on every batch.
     """
     n = obs.n
     if n < 2:
         raise ValueError("estimation needs at least two cells")
-    if obs.coeffs.ndim == 1:
-        diffs = np.diff(pointwise_values(obs))
-        return float(np.sum(np.square(diffs, out=diffs)) / (2.0 * n * n))
+    batch = obs.coeffs.ndim == 2
     out = np.empty(obs.rows)
     step = max(1, _CHUNK // n)
     for k in range(0, obs.rows, step):
-        diffs = np.diff(pointwise_values(obs, slice(k, k + step)), axis=-1)
+        diffs = np.diff(pointwise_values(obs, slice(k, k + step) if batch else slice(None)), axis=-1)
         out[k : k + step] = np.sum(np.square(diffs, out=diffs), axis=-1)
     out /= 2.0 * n * n
-    return out
+    return out if batch else float(out[0])
 
 
 def refine_delta_hat(

@@ -283,9 +283,9 @@ def test_criterion_8_discrepancy_sanity(op256):
     errors = []
     for delta in (0.16, 0.08, 0.04, 0.02, 0.01):
         obs = observe(op256, x, delta, NoiseSpec.dirac(xi))
-        [res] = discrepancy_principle(op256, obs, tikhonov(), 2.0, alpha_grid)
-        x_hat = regularize_svd(tikhonov(), op256, obs.coeffs, res.alpha).x_alpha
-        errors.append(float(np.linalg.norm(x_hat.coeffs - x.coeffs)))
+        (alpha,) = discrepancy_principle(op256, obs, tikhonov(), 2.0, alpha_grid).alpha
+        x_hat = regularize_svd(tikhonov(), op256, obs.coeffs, alpha).x_alpha
+        errors.append(float(np.linalg.norm(x_hat - x.coeffs)))
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
 
     white = observe(op256, x, 0.05, NoiseSpec.gaussian_white(SEED))

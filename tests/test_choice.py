@@ -85,23 +85,23 @@ def test_oracle_noiseless_prefers_smallest_alpha(op256):
     x = make_signal("smooth", op256.grid)
     obs = _noiseless_obs(op256, x, 1e-6)
     grid = np.logspace(-8, -1, 10)
-    [(alpha, err, _)] = oracle_choice(op256, x, obs, tikhonov(), grid)
-    assert alpha == pytest.approx(grid[0])
-    assert err < 1e-3
+    result = oracle_choice(op256, x, obs, tikhonov(), grid)
+    assert result.alpha[0] == pytest.approx(grid[0])
+    assert result.error[0] < 1e-3
 
 
 def test_oracle_pure_noise_prefers_largest_alpha(op256):
     x = L2Vector(op256.grid, np.zeros(256))
     obs = _white_obs(op256, x, delta=1.0)
     grid = np.logspace(-8, 0, 12)
-    [(alpha, _, _)] = oracle_choice(op256, x, obs, tikhonov(), grid)
+    (alpha,) = oracle_choice(op256, x, obs, tikhonov(), grid).alpha
     assert alpha == pytest.approx(grid[-1])
 
 
 def test_oracle_single_element_grid(op256):
     x = make_signal("smooth", op256.grid)
     obs = _white_obs(op256, x, 0.05)
-    [(alpha, _, _)] = oracle_choice(op256, x, obs, tikhonov(), [1e-3])
+    (alpha,) = oracle_choice(op256, x, obs, tikhonov(), [1e-3]).alpha
     assert alpha == 1e-3
     with pytest.raises(ValueError):
         oracle_choice(op256, x, obs, tikhonov(), [])
@@ -112,7 +112,7 @@ def _brute_force_oracle(op, x_true, obs, filt, grid):
     best = None
     for a in np.sort(np.asarray(grid, dtype=float)):
         x = regularize_svd(filt, op, obs.coeffs, a).x_alpha
-        err = float(np.linalg.norm(x.coeffs - x_true.coeffs))
+        err = float(np.linalg.norm(x - x_true.coeffs))
         if best is None or err < best[1]:
             best = (float(a), err, x)
     return best
@@ -136,26 +136,27 @@ def test_oracle_matches_brute_force_loop(cross_check_op, filt):
         grid = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op.norm**2, delta_input=delta).alphas
         for seed in range(20):
             obs = _white_obs(op, x, delta, seed=seed)
-            [(alpha, err, x_alpha)] = oracle_choice(op, x, obs, filt, grid)
+            result = oracle_choice(op, x, obs, filt, grid)
             alpha_ref, err_ref, x_ref = _brute_force_oracle(op, x, obs, filt, grid)
-            assert alpha == alpha_ref
-            assert np.array_equal(x_alpha.coeffs, x_ref.coeffs)
-            assert err == pytest.approx(err_ref, rel=1e-12)
+            assert result.alpha.tolist() == [alpha_ref]
+            assert np.array_equal(result.x, x_ref[None])
+            # the error is the 1-D norm of the winner's solution
+            assert result.error.tolist() == [err_ref]
 
 
 def test_oracle_ties_go_to_smallest_alpha(op256):
     x = make_signal("smooth", op256.grid)
     obs = _white_obs(op256, x, 0.01, seed=3)
     grid = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op256.norm**2, delta_input=0.01).alphas
-    [(alpha, err, x_alpha)] = oracle_choice(op256, x, obs, tikhonov(), grid)
+    (alpha,) = oracle_choice(op256, x, obs, tikhonov(), grid).alpha
     # a repeated alpha, listed unsorted, changes nothing
     repeated = np.concatenate([grid, [alpha, alpha]])[::-1]
-    assert oracle_choice(op256, x, obs, tikhonov(), repeated)[0][0] == alpha
+    assert oracle_choice(op256, x, obs, tikhonov(), repeated).alpha.tolist() == [alpha]
     # every cutoff strictly between two squared singular values keeps the
     # same components, so the whole grid ties and the smallest alpha wins
     theta = op256.s[:op256.rank] ** 2
     plateau = np.linspace(theta[11], theta[10], 7)[1:-1]
-    [(alpha_cut, _, _)] = oracle_choice(op256, x, obs, spectral_cutoff(), plateau[::-1])
+    (alpha_cut,) = oracle_choice(op256, x, obs, spectral_cutoff(), plateau[::-1]).alpha
     assert alpha_cut == plateau[0]
     assert _brute_force_oracle(op256, x, obs, spectral_cutoff(), plateau)[0] == plateau[0]
 
@@ -172,9 +173,9 @@ def test_discrepancy_huge_delta_keeps_largest_alpha(op256):
     xi = dirac_direction(op256.grid)
     obs = observe(op256, x, 10.0, NoiseSpec.dirac(xi))
     grid = np.logspace(-6, -1, 8)
-    [result] = discrepancy_principle(op256, obs, tikhonov(), 2.0, grid)
-    assert result.satisfied
-    assert result.alpha == pytest.approx(grid[-1])
+    result = discrepancy_principle(op256, obs, tikhonov(), 2.0, grid)
+    assert result.satisfied.tolist() == [True]
+    assert result.alpha[0] == pytest.approx(grid[-1])
 
 
 @pytest.mark.parametrize("delta, satisfied", [(10.0, True), (1e-9, False)])
@@ -182,13 +183,13 @@ def test_discrepancy_returns_its_solution(op256, delta, satisfied):
     x = make_signal("smooth", op256.grid)
     obs = observe(op256, x, delta, NoiseSpec.dirac(dirac_direction(op256.grid)))
     grid = np.logspace(-6, -1, 8)
-    [result] = discrepancy_principle(op256, obs, tikhonov(), 2.0, grid)
-    assert result.satisfied is satisfied
-    sol = regularize_svd(tikhonov(), op256, obs.coeffs, result.alpha)
-    assert np.array_equal(result.x_alpha.coeffs, sol.x_alpha.coeffs)
-    assert result.residual == sol.residual_norm
+    result = discrepancy_principle(op256, obs, tikhonov(), 2.0, grid)
+    assert result.satisfied.tolist() == [satisfied]
+    sol = regularize_svd(tikhonov(), op256, obs.coeffs, result.alpha[0])
+    assert np.array_equal(result.x, sol.x_alpha[None])
+    assert result.residual.tolist() == [sol.residual_norm]
     if not satisfied:
-        assert result.alpha == grid[0]
+        assert result.alpha.tolist() == [grid[0]]
 
 
 def _brute_force_discrepancy(op, obs, filt, tau, grid):
@@ -239,10 +240,11 @@ def test_discrepancy_matches_brute_force_loop(discrepancy_op, tau, top, satisfie
         for seed in range(20):
             spec = getattr(NoiseSpec, kind)(direction, seed=seed)
             obs = observe(op, x, delta, spec)
-            [result] = discrepancy_principle(op, obs, filt, tau, grid)
+            result = discrepancy_principle(op, obs, filt, tau, grid)
             ref, ok = _brute_force_discrepancy(op, obs, filt, tau, grid)
-            assert (result.alpha, result.satisfied, result.residual) == (ref.alpha, ok, ref.residual_norm)
-            assert np.array_equal(result.x_alpha.coeffs, ref.x_alpha.coeffs)
+            got = (result.alpha.tolist(), result.satisfied.tolist(), result.residual.tolist())
+            assert got == ([ref.alpha], [ok], [ref.residual_norm])
+            assert np.array_equal(result.x, ref.x_alpha[None])
             verdicts.add(ok)
     assert satisfied in verdicts
 
@@ -251,10 +253,10 @@ def test_discrepancy_noiseless_is_above_oracle(op256):
     x = make_signal("smooth", op256.grid)
     obs = _noiseless_obs(op256, x, 1e-3)
     grid = np.logspace(-8, -1, 20)
-    [result] = discrepancy_principle(op256, obs, tikhonov(), 2.0, grid)
-    assert result.satisfied
-    [(alpha_oracle, _, _)] = oracle_choice(op256, x, obs, tikhonov(), grid)
-    assert result.alpha >= alpha_oracle
+    result = discrepancy_principle(op256, obs, tikhonov(), 2.0, grid)
+    assert result.satisfied.tolist() == [True]
+    (alpha_oracle,) = oracle_choice(op256, x, obs, tikhonov(), grid).alpha
+    assert result.alpha[0] >= alpha_oracle
     # oracle cross-check: the residual is nondecreasing in alpha on the grid
     from statinv import regularize_svd
 
@@ -265,18 +267,17 @@ def test_discrepancy_noiseless_is_above_oracle(op256):
 def test_lepskii_zero_data_accepts_everything(op256):
     obs = _noiseless_obs(op256, L2Vector(op256.grid, np.zeros(256)), 0.01)
     cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op256.norm**2, delta_input=0.01)
-    result = lepskii_choose(op256, LevelData(obs), cfg, SCHED)[0]
-    assert result.j_star == result.m
-    assert result.accepted_is_prefix
-    assert result.accepted == list(range(1, result.m + 1))
+    result = lepskii_choose(op256, LevelData(obs), cfg, SCHED)
+    assert result.j_star.tolist() == result.m.tolist() == [cfg.m]
+    assert np.flatnonzero(result.accepted[0]).tolist() == list(range(1, cfg.m + 1))
 
 
 def test_lepskii_noiseless_picks_interior_index(op1024):
     x = make_signal("source", op1024.grid, op=op1024, nu=1.0, amplitude=10.0)
     obs = _noiseless_obs(op1024, x, 1e-6)
     cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2, delta_input=1e-6)
-    result = lepskii_choose(op1024, LevelData(obs), cfg, SCHED)[0]
-    assert result.j_star >= 1
+    result = lepskii_choose(op1024, LevelData(obs), cfg, SCHED)
+    assert result.j_star[0] >= 1
 
 
 def test_lepskii_diagnostics(op1024):
@@ -284,13 +285,15 @@ def test_lepskii_diagnostics(op1024):
     obs = _white_obs(op1024, x, 0.02, seed=3)
     cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2, delta_input=0.02)
     source = SourceCondition.holder(nu=1.0, radius=10.0)
-    result = lepskii_choose(op1024, LevelData(obs), cfg, SCHED, source=source)[0]
-    psi = np.array([c[2] for c in result.candidates])
-    assert np.all(np.diff(psi) < 0)  # Psi decreasing in j
-    assert result.accepted_is_prefix  # accepted set is a down-set
-    assert result.alpha_star == pytest.approx(cfg.alphas[result.j_star])
+    result = lepskii_choose(op1024, LevelData(obs), cfg, SCHED, source=source)
+    (j_star,) = result.j_star
+    assert result.psi.shape == result.alphas.shape == result.candidate_levels.shape == (1, cfg.m + 1)
+    assert np.all(np.diff(result.psi[0]) < 0)  # Psi decreasing in j
+    # the accepted set is a down-set: 1..j*
+    assert np.flatnonzero(result.accepted[0]).tolist() == list(range(1, j_star + 1))
+    assert result.alpha_star[0] == pytest.approx(cfg.alphas[j_star])
     assert np.all(np.diff(result.levels) <= 0)  # levels nonincreasing in alpha
-    assert result.j_check is not None and 0 <= result.j_check <= result.m
+    assert result.j_check is not None and 0 <= result.j_check[0] <= result.m[0]
     assert "phi_not_increasing" not in result.flags
 
 
@@ -299,10 +302,19 @@ def test_lepskii_degenerate_flag(op256):
     x = make_signal("smooth", op256.grid)
     obs = _white_obs(op256, x, 0.05, seed=5)
     cfg = LepskiiConfig(q=2.0, C_psi=1e-12, max_alpha=op256.norm**2, delta_input=0.05)
-    result = lepskii_choose(op256, LevelData(obs), cfg, SCHED)[0]
-    assert result.j_star == 0
-    assert "lepskii_degenerate" in result.flags
-    assert result.alpha_star == pytest.approx(cfg.alpha0)
+    result = lepskii_choose(op256, LevelData(obs), cfg, SCHED)
+    assert result.j_star.tolist() == [0]
+    assert "lepskii_degenerate" in result.row_flags[0]
+    assert result.alpha_star[0] == pytest.approx(cfg.alpha0)
+
+
+def _candidate(result, i, j):
+    """Candidate j of row i on its own level, read off the result's level blocks."""
+    for level, ii, jj, x in result.blocks:
+        hit = np.flatnonzero((ii == i) & (jj == j))
+        if hit.size:
+            return x[hit[0]]
+    raise KeyError((i, j))
 
 
 def test_lepskii_candidates_match_normal_equations(op256):
@@ -311,17 +323,16 @@ def test_lepskii_candidates_match_normal_equations(op256):
     obs = _white_obs(op256, x, 0.05, seed=13)
     cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op256.norm**2, delta_input=0.05)
     cache = LevelSolverCache(op256)
-    result = lepskii_choose(op256, LevelData(obs), cfg, SCHED, cache=cache)[0]
-    from statinv.discretization import embed_vector, nested_level, project
-    from statinv import n_of
+    result = lepskii_choose(op256, LevelData(obs), cfg, SCHED, cache=cache)
+    from statinv.discretization import nested_level, project
 
-    j = result.m // 2
+    j = cfg.m // 2
     alpha = cfg.alphas[j]
     level = nested_level(n_of(alpha, cfg.delta_input, SCHED), obs.n)
+    assert result.candidate_levels[0, j] == level
     obs_j = project(obs, level)
     direct = regularize_normal_equations(cache.operator(level), obs_j.coeffs, alpha)
-    embedded = embed_vector(direct.x_alpha, op256.grid)
-    assert np.linalg.norm(embedded.coeffs - result.solutions[j].coeffs) < 1e-10
+    assert np.linalg.norm(direct.x_alpha - _candidate(result, 0, j)) < 1e-10
 
 
 def test_data_driven_reduces_to_lepskii(op1024):
@@ -331,15 +342,14 @@ def test_data_driven_reduces_to_lepskii(op1024):
     est_cfg = EstimatorConfig()
     template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2, delta_input=0.05)
     cache = LevelSolverCache(op1024)
-    estimates, lep, xs = data_driven_choose(op1024, data, est_cfg, template, SCHED, cache=cache)
-    estimate, lep, x_final = estimates[0], lep[0], xs[0]
+    (estimate,), lep = data_driven_choose(op1024, data, est_cfg, template, SCHED, cache=cache)
     # feeding the produced estimate back through the known-level rule gives
     # the identical choice: the pipeline is exactly estimate-then-balance
     again = lepskii_choose(
         op1024, LevelData(obs), template.with_delta(estimate.delta_hat), SCHED, cache=cache
-    )[0]
-    assert again.j_star == lep.j_star
-    assert np.array_equal(again.x_star.coeffs, x_final.coeffs)
+    )
+    assert again.j_star.tolist() == lep.j_star.tolist()
+    assert np.array_equal(again.x_star, lep.x_star)
 
 
 def test_data_driven_flags_nonconverged_estimator(op64):
@@ -348,11 +358,10 @@ def test_data_driven_flags_nonconverged_estimator(op64):
     est_cfg = EstimatorConfig(n0=16)
     sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=64)
     template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op64.norm**2, delta_input=1.0)
-    estimates, lep, xs = data_driven_choose(op64, LevelData(obs), est_cfg, template, sched)
-    estimate, lep, x_final = estimates[0], lep[0], xs[0]
+    (estimate,), lep = data_driven_choose(op64, LevelData(obs), est_cfg, template, sched)
     assert not estimate.converged
-    assert "estimator_not_converged" in lep.flags
-    assert x_final.grid == op64.grid
+    assert "estimator_not_converged" in lep.row_flags[0]
+    assert lep.x_star.shape == (1, op64.n)
 
 
 def test_data_driven_error_close_to_known_delta(op1024):
@@ -363,12 +372,10 @@ def test_data_driven_error_close_to_known_delta(op1024):
     obs = _white_obs(op1024, x, delta, seed=29)
     cache = LevelSolverCache(op1024)
     template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2, delta_input=delta)
-    known = lepskii_choose(op1024, LevelData(obs), template, SCHED, cache=cache)[0]
-    err_known = np.linalg.norm(known.x_star.coeffs - x.coeffs)
-    _, _, (x_final,) = data_driven_choose(
-        op1024, LevelData(obs), EstimatorConfig(), template, SCHED, cache=cache
-    )
-    err_dd = np.linalg.norm(x_final.coeffs - x.coeffs)
+    known = lepskii_choose(op1024, LevelData(obs), template, SCHED, cache=cache)
+    err_known = np.linalg.norm(known.x_star[0] - x.coeffs)
+    _, estimated = data_driven_choose(op1024, LevelData(obs), EstimatorConfig(), template, SCHED, cache=cache)
+    err_dd = np.linalg.norm(estimated.x_star[0] - x.coeffs)
     assert err_dd <= 5.0 * err_known
 
 
@@ -380,7 +387,7 @@ def test_refine_then_choose_uses_estimate(op1024):
     est_cfg = EstimatorConfig()
     direct = refine_delta_hat(op1024, data, est_cfg, SCHED)
     template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2, delta_input=0.05)
-    (estimate,), _, _ = data_driven_choose(op1024, data, est_cfg, template, SCHED)
+    (estimate,), _ = data_driven_choose(op1024, data, est_cfg, template, SCHED)
     assert estimate == direct
 
 
@@ -391,7 +398,7 @@ def test_data_driven_estimates_equal_each_row_refined_alone(op64):
     batch = observe(op64, x, 0.05, spec, replicate=[0, 1, 2], y_exact=y)
     sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=1.0, n_max=64)
     template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op64.norm**2, delta_input=0.05)
-    estimates, _, _ = data_driven_choose(op64, LevelData(batch), EstimatorConfig(), template, sched)
+    estimates, _ = data_driven_choose(op64, LevelData(batch), EstimatorConfig(), template, sched)
     assert len(estimates) == 3
     for i, estimate in enumerate(estimates):
         alone = refine_delta_hat(op64, LevelData(batch.row(i)), EstimatorConfig(), sched)
@@ -439,18 +446,17 @@ def test_batched_lepskii_matches_the_scalar_rule(n, kind, delta):
     batch = observe(op, x, delta, spec, replicate=list(range(6)), y_exact=y)
     template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op.norm**2, delta_input=delta)
     known = lepskii_choose(op, LevelData(batch), template, sched)
-    estimates, estimated, xs = data_driven_choose(op, LevelData(batch), EstimatorConfig(), template, sched)
+    estimates, estimated = data_driven_choose(op, LevelData(batch), EstimatorConfig(), template, sched)
     total = 0
     for i in range(batch.rows):
         single = batch.row(i)
-        for row, cfg in [(known[i], template), (estimated[i], template.with_delta(estimates[i].delta_hat))]:
+        for result, cfg in [(known, template), (estimated, template.with_delta(estimates[i].delta_hat))]:
             j_star, accepted, pairs, x_star = _scalar_lepskii(op, single, cfg, sched)
-            assert row.j_star == j_star
-            assert row.accepted == accepted
-            assert row.accepted_pairs_checked == pairs
-            assert np.array_equal(row.x_star.coeffs, x_star)
+            assert result.j_star[i] == j_star
+            assert np.flatnonzero(result.accepted[i]).tolist() == accepted
+            assert result.pairs[i] == pairs
+            assert np.array_equal(result.x_star[i], x_star)
             total += pairs
-        assert xs[i] is estimated[i].x_star
     assert known.accepted_pairs_checked + estimated.accepted_pairs_checked == total
 
 
@@ -477,11 +483,17 @@ def test_batch_rows_equal_single_realizations(di, reps):
     for method in METHODS:
         study = SIGN_STUDY if method == "discrepancy" else SMALL_STUDY
         batch = choose(study, method, study.batch(di, reps))
-        for rep, got in zip(reps, batch, strict=True):
-            (alone,) = choose(study, method, study.batch(di, [rep]))
-            assert np.array_equal(got.x.coeffs, alone.x.coeffs)
-            # alpha, flags, j_star, m, delta_hat, residual, satisfied, best_error
-            assert replace(got, x=None) == replace(alone, x=None)
+        assert batch.x.shape == (len(reps), study.op.n) and len(batch.flags) == len(reps)
+        for i, rep in enumerate(reps):
+            alone = choose(study, method, study.batch(di, [rep]))
+            assert batch.flags[i] == alone.flags[0]
+            # x, alpha, j_star, m, delta_hat, residual, satisfied, best_error
+            for name in ("x", "alpha", "j_star", "m", "delta_hat", "residual", "satisfied", "best_error"):
+                got, one = getattr(batch, name), getattr(alone, name)
+                assert (got is None) == (one is None), name
+                if got is not None:
+                    assert one.shape == (1,) + got.shape[1:], name
+                    assert np.array_equal(got[i], one[0]), name
 
 
 OP1024 = build_integration_operator(Grid(1024))
@@ -502,11 +514,11 @@ def test_oracle_rows_across_a_block_boundary_equal_single_rows():
     batch, singles = _rows(OP1024, x, 0.01, NoiseSpec.gaussian_white(3), BLOCK + 3)
     grid = np.geomspace(1e-7, 1e-1, 13)
     picks = oracle_choice(OP1024, x, batch, tikhonov(), grid)
-    assert len(picks) == BLOCK + 3
-    for (alpha, err, x_alpha), obs in zip(picks, singles):
-        [(alone_alpha, alone_err, alone_x)] = oracle_choice(OP1024, x, obs, tikhonov(), grid)
-        assert (alpha, err) == (alone_alpha, alone_err)
-        assert np.array_equal(x_alpha.coeffs, alone_x.coeffs)
+    assert picks.alpha.shape == picks.error.shape == (BLOCK + 3,)
+    for i, obs in enumerate(singles):
+        alone = oracle_choice(OP1024, x, obs, tikhonov(), grid)
+        assert (picks.alpha[i], picks.error[i]) == (alone.alpha[0], alone.error[0])
+        assert np.array_equal(picks.x[i], alone.x[0])
 
 
 @pytest.mark.parametrize(
@@ -523,13 +535,16 @@ def test_discrepancy_rows_across_a_block_boundary_equal_single_rows(kind, tau, o
     spec = NoiseSpec.dirac(direction, seed=3) if kind == "dirac" else NoiseSpec.scaled_rv(direction, seed=3)
     batch, singles = _rows(OP1024, x, 0.01, spec, BLOCK + 3)
     results = discrepancy_principle(OP1024, batch, tikhonov(), tau, BOUNDARY_GRID)
-    assert len(results) == BLOCK + 3
+    assert results.alpha.shape == results.satisfied.shape == results.residual.shape == (BLOCK + 3,)
     # (satisfied, index of the chosen alpha in the grid)
-    assert {(res.satisfied, list(BOUNDARY_GRID).index(res.alpha)) for res in results} == outcomes
-    for res, obs in zip(results, singles):
-        [alone] = discrepancy_principle(OP1024, obs, tikhonov(), tau, BOUNDARY_GRID)
-        assert np.array_equal(res.x_alpha.coeffs, alone.x_alpha.coeffs)
-        assert replace(res, x_alpha=None) == replace(alone, x_alpha=None)
+    chosen = zip(results.satisfied.tolist(), np.searchsorted(BOUNDARY_GRID, results.alpha).tolist())
+    assert set(chosen) == outcomes
+    assert np.array_equal(BOUNDARY_GRID[np.searchsorted(BOUNDARY_GRID, results.alpha)], results.alpha)
+    for i, obs in enumerate(singles):
+        alone = discrepancy_principle(OP1024, obs, tikhonov(), tau, BOUNDARY_GRID)
+        assert np.array_equal(results.x[i], alone.x[0])
+        got = (results.alpha[i], results.satisfied[i], results.residual[i])
+        assert got == (alone.alpha[0], alone.satisfied[0], alone.residual[0])
 
 
 def _traced_peak(fn):
@@ -562,4 +577,82 @@ def test_oracle_and_discrepancy_work_in_bounded_row_blocks():
             batch, _ = _rows(op, x, 0.01, spec, reps)
             rest[reps] = _traced_peak(lambda: rule(batch)) - reps * op.n * 8
         assert max(rest.values()) < 8 * 2**20, (name, rest)
-        assert rest[512] <= rest[64] + 2**20, (name, rest)  # per-row objects, no per-row arrays
+        assert rest[512] <= rest[64] + 2**20, (name, rest)  # only the (R,) arrays grow
+
+
+def test_batch_counts_read_by_the_benchmark_come_from_the_row_arrays():
+    # The traced benchmark reads len(levels), accepted_pairs_checked and flags
+    # of each Lepskii result, and data_driven_choose(...)[1].flags: each must
+    # be the count over the rows.  Row 0 is constant (delta_hat = 0, floored)
+    # and row 1 exact data, so the estimator flags of both kinds show up.
+    op = build_integration_operator(Grid(64))
+    x = make_signal("source", op.grid, op=op, nu=1.0, amplitude=10.0)
+    noisy = observe(op, x, 0.05, NoiseSpec.gaussian_white(5), replicate=[0, 1, 2])
+    batch = Observation(
+        grid=op.grid, y_exact=noisy.y_exact, delta=0.05,
+        coeffs=np.vstack([np.zeros(op.n), noisy.y_exact.coeffs, noisy.coeffs]),
+        noise=noisy.noise, seed_used=(0, 0) + noisy.seed_used,
+    )
+    sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=64)
+    template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op.norm**2, delta_input=0.05)
+    known = lepskii_choose(op, LevelData(batch), template, sched)
+    estimates, estimated = data_driven_choose(op, LevelData(batch), EstimatorConfig(), template, sched)
+    for result in (known, estimated):
+        valid = np.arange(result.alphas.shape[1]) <= result.m[:, None]
+        assert len(result.levels) == int(np.sum(result.m + 1)) == np.count_nonzero(valid)
+        assert result.levels == result.candidate_levels[valid].tolist()
+        assert np.all(np.isnan(result.alphas[~valid])) and np.all(result.candidate_levels[~valid] == 0)
+        assert result.accepted_pairs_checked == int(result.pairs.sum())
+        assert result.flags == [flag for flags in result.row_flags for flag in flags]
+    assert len({m for m in estimated.m.tolist()}) > 1  # rows of different ladders
+    flags = data_driven_choose(op, LevelData(batch), EstimatorConfig(), template, sched)[1].flags
+    assert flags == estimated.flags
+    assert estimated.row_flags[0][-2:] == ["estimator_not_converged", "delta_hat_floor"]
+    assert "estimator_not_converged" in estimated.row_flags[1]
+    assert flags.count("estimator_not_converged") == sum(not e.converged for e in estimates) >= 2
+    assert flags.count("delta_hat_floor") == sum(e.delta_hat <= 0.0 for e in estimates) == 1
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_choose_builds_no_l2vector_per_row(monkeypatch, method):
+    # a rule's result is one record of arrays, whatever the number of rows
+    study = SIGN_STUDY if method == "discrepancy" else SMALL_STUDY
+    batches = {reps: study.batch(0, range(reps)) for reps in (5, 50)}
+    built = []
+    real_init = L2Vector.__init__
+
+    def counting_init(self, grid, coeffs):
+        built.append(grid.n_cells)
+        real_init(self, grid, coeffs)
+
+    monkeypatch.setattr(L2Vector, "__init__", counting_init)
+    counts = {}
+    for reps, data in batches.items():
+        built.clear()
+        choice = choose(study, method, data)
+        assert choice.x.shape == (reps, study.op.n)
+        counts[reps] = len(built)
+    assert counts[5] == counts[50], counts
+
+
+def test_rules_reject_non_finite_solutions(op64):
+    # one finiteness check per batch: a single bad row fails the whole call
+    y = np.zeros((3, 64))
+    y[1, 5] = np.inf
+    zero = L2Vector(op64.grid, np.zeros(64))
+    obs = Observation(
+        grid=op64.grid, y_exact=zero, delta=0.05, coeffs=y, noise=NoiseSpec.dirac(zero), seed_used=(0, 1, 2)
+    )
+    template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op64.norm**2, delta_input=0.05)
+    sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=64)
+    calls = {
+        "regularize_svd batch": lambda: regularize_svd(tikhonov(), op64, y, 1e-3),
+        "regularize_svd vector": lambda: regularize_svd(tikhonov(), op64, y[1], 1e-3),
+        "oracle": lambda: oracle_choice(op64, zero, obs, tikhonov(), [1e-3, 1e-2]),
+        "discrepancy": lambda: discrepancy_principle(op64, obs, tikhonov(), 2.0, [1e-3, 1e-2]),
+        "lepskii": lambda: lepskii_choose(op64, LevelData(obs), template, sched),
+    }
+    with np.errstate(invalid="ignore", over="ignore"):
+        for call in calls.values():
+            with pytest.raises(ValueError, match="finite"):
+                call()

@@ -115,8 +115,8 @@ def test_harness_and_cli_choose_same_alpha(tmp_path, capsys, method):
     cfg = parse_config(path)
     study = build_study(cfg)
     # the first replicate of the first delta, as in run_mse_study
-    chosen = choose(study, cfg.method, study.batch(0, [0]))[0]
-    assert chosen.alpha == cli_alpha
+    chosen = choose(study, cfg.method, study.batch(0, [0]))
+    assert chosen.alpha.tolist() == [cli_alpha]
 
 
 @pytest.mark.parametrize(
@@ -230,7 +230,7 @@ real_choose = harness.choose
 
 def recording_choose(study, method, data):
     chosen = real_choose(study, method, data)
-    seen.extend([method, c.j_star] for c in chosen)
+    seen.extend([method, v] for v in chosen.j_star.tolist())
     return chosen
 
 harness.choose = recording_choose
@@ -284,7 +284,7 @@ def test_converge_is_independent_of_the_blas_thread_count(tmp_path):
     assert columns(one[0]) == columns(two[0])
 
 
-_RECORD_ALPHA = _RECORD_J_STAR.replace("c.j_star", "c.alpha")
+_RECORD_ALPHA = _RECORD_J_STAR.replace("chosen.j_star", "chosen.alpha")
 
 
 @pytest.mark.parametrize("noise, method", [("gaussian_white", "oracle"), ("dirac", "discrepancy")])

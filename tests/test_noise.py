@@ -226,7 +226,8 @@ def test_stream_key_is_the_seed_sequence_key(seed):
         int(np.random.SeedSequence(seed, spawn_key=(p,) if isinstance(p, int) else p).generate_state(1, np.uint64)[0])
         for p in paths
     ]
-    assert [stream_key(seed, p) for p in paths] == expected
+    singles = [stream_key(seed, p) for p in paths]
+    assert singles == expected and all(type(key) is int for key in singles)
     # a list of paths gives the same keys at once, one block per path depth
     keys = stream_key(seed, paths)
     assert keys.dtype == np.uint64 and keys.tolist() == expected

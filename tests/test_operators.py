@@ -236,7 +236,7 @@ def test_projected_closed_form_matches_lapack(n_fine, n_coarse):
     # the closed-form series solves the projected matrix's normal equations
     y = np.random.default_rng(n_coarse).standard_normal(n_coarse)
     series = spectral_series(tikhonov(), op, y, 1e-4)
-    direct = regularize_normal_equations(op, y, 1e-4).x_alpha.coeffs
+    direct = regularize_normal_equations(op, y, 1e-4).x_alpha
     assert np.linalg.norm(series - direct) <= 1e-10 * np.linalg.norm(direct)
 
 

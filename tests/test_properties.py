@@ -167,17 +167,20 @@ def test_batched_regularize_svd_rows_equal_single_solves(name, filt, rows, per_r
     else:
         alpha = data.draw(alphas)
     batch = regularize_svd(filt, op, y, alpha)
-    assert len(batch) == rows
-    for i, got in enumerate(batch):
+    # one record whose fields have the row shape of y
+    assert batch.x_alpha.shape == y.shape
+    assert batch.alpha.shape == batch.residual_norm.shape == (rows,)
+    for i in range(rows):
         a = alpha[i] if per_row else alpha
         alone = regularize_svd(filt, op, y[i], a)
         assert isinstance(alone, RegularizedSolution)
-        assert np.array_equal(got.x_alpha.coeffs, alone.x_alpha.coeffs)
-        assert got.alpha == alone.alpha == a
-        assert got.residual_norm == alone.residual_norm
+        assert alone.x_alpha.shape == (op.n,) and np.ndim(alone.alpha) == np.ndim(alone.residual_norm) == 0
+        assert np.array_equal(batch.x_alpha[i], alone.x_alpha)
+        assert batch.alpha[i] == alone.alpha == a
+        assert batch.residual_norm[i] == alone.residual_norm
         # a vector keeps the bits of its 1-D series and of the 1-D norm of its residual
-        assert np.array_equal(alone.x_alpha.coeffs, spectral_series(filt, op, y[i], a))
-        assert alone.residual_norm == np.linalg.norm(apply(op, alone.x_alpha).coeffs - y[i])
+        assert np.array_equal(alone.x_alpha, spectral_series(filt, op, y[i], a))
+        assert alone.residual_norm == np.linalg.norm(apply(op, alone.x_alpha) - y[i])
 
 
 # every fourth singular value is zero, so data have a part outside range(U_r)
@@ -192,8 +195,8 @@ def _discrepancy_verdict(op, filt, y, alpha, threshold):
     obs = Observation(
         grid=op.grid, y_exact=xi, delta=threshold / 2.0, coeffs=y, noise=NoiseSpec.dirac(xi), seed_used=0
     )
-    [result] = discrepancy_principle(op, obs, filt, 2.0, [alpha])
-    return result.satisfied
+    (satisfied,) = discrepancy_principle(op, obs, filt, 2.0, [alpha]).satisfied
+    return satisfied
 
 
 @PROPERTY
