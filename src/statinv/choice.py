@@ -31,15 +31,15 @@ and one batched solve at the chosen alphas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .discretization import LevelData, LevelSchedule, n_of, project_operator
 from .errors import WhiteNoiseError, require_finite, require_finite_coeffs
 from .filters import Filter, RegularizedSolution, bias_value, filter_value, regularize_svd, tikhonov
-from .grid import L2Vector, distances
+from .grid import L2Vector
 from .noise import Observation
 from .noise_level import EstimatorConfig, refine_delta_hat
 from .operators import DiscreteOperator, SourceCondition
@@ -89,12 +89,7 @@ class LepskiiConfig:
 
     @property
     def m(self) -> int:
-        m = int(np.ceil(2.0 * np.log(self.max_alpha / self.delta_input) / np.log(self.q)))
-        m = max(m, 1)
-        # keep the grid within the loop guard alpha <= ||T||^2 (up to one q step)
-        while m > 1 and self.alpha0 * self.q**m > self.q * self.max_alpha:
-            m -= 1
-        return m
+        return _grid_size(self.q, self.max_alpha, self.delta_input)
 
     @property
     def kappa(self) -> float:
@@ -104,8 +99,15 @@ class LepskiiConfig:
     def alphas(self) -> np.ndarray:
         return self.alpha0 * self.q ** np.arange(self.m + 1)
 
-    def with_delta(self, delta_input: float) -> "LepskiiConfig":
-        return replace(self, delta_input=delta_input)
+
+def _grid_size(q: float, max_alpha: float, delta: float) -> int:
+    """The last index m of the grid alpha_j = delta^2 q^j of ``LepskiiConfig``."""
+    m = int(np.ceil(2.0 * np.log(max_alpha / delta) / np.log(q)))
+    m = max(m, 1)
+    # keep the grid within the loop guard alpha <= ||T||^2 (up to one q step)
+    while m > 1 and delta**2 * q**m > q * max_alpha:
+        m -= 1
+    return m
 
 
 # Entries of a block of fine-grid rows that a rule holds at once: the
@@ -241,10 +243,9 @@ def _sorted_grid(alpha_grid: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """The oracle's choice for the R rows of a batch: alpha and true error (R,), solution x (R, n)."""
+    """The oracle's choice for the R rows of a batch: alpha (R,) and solution x (R, n)."""
 
     alpha: np.ndarray
-    error: np.ndarray
     x: np.ndarray
 
 
@@ -263,9 +264,9 @@ def oracle_choice(
     only by the part of x_true outside range(V_r), which is the same for
     every alpha.  V_r^T x_true and the sorted grid are computed once for the
     batch; the rows are scored and solved in blocks (``_solve_rows``).
-    Returns the winner's alpha, error and solution for every row of ``obs``
-    (one realization is one row), each bit-equal to the row scored and
-    solved alone; ties break toward the smallest alpha.
+    Returns the winner's alpha and solution for every row of ``obs`` (one
+    realization is one row), each bit-equal to the row scored and solved
+    alone; ties break toward the smallest alpha.
     """
     alphas = _sorted_grid(alpha_grid)
     s = op.s[: op.rank]
@@ -278,7 +279,7 @@ def oracle_choice(
         return np.argmin(scores, axis=-1)  # the first, smallest alpha
 
     sol = _solve_rows(filt, op, obs, alphas, pick)
-    return OracleResult(alpha=sol.alpha, error=distances(sol.x_alpha, x_true.coeffs), x=sol.x_alpha)
+    return OracleResult(alpha=sol.alpha, x=sol.x_alpha)
 
 
 @dataclass(frozen=True)
@@ -348,58 +349,89 @@ def discrepancy_principle(
 
 
 @dataclass
-class _Ladder:
-    """Alpha grid, candidate levels, Psi and acceptance band of one Lepskii config."""
+class _Ladders:
+    """Alpha grid, candidate levels, Psi and acceptance band of D delta inputs.
 
-    m: int
-    kappa: float
+    The (D, W) tables hold candidate j of ladder i at [i, j], nan (level 0)
+    past its last candidate m[i]; the flags are lists per ladder, and
+    ``alpha_check`` and ``j_check`` (D,) arrays, None without a source.
+    """
+
+    m: np.ndarray
+    kappa: np.ndarray
     alphas: np.ndarray
-    levels: list
+    levels: np.ndarray
     psi: np.ndarray
     band: np.ndarray
     psi_flags: list
     source_flags: list
-    alpha_check: Optional[float]
-    j_check: Optional[int]
+    alpha_check: Optional[np.ndarray]
+    j_check: Optional[np.ndarray]
 
     @classmethod
-    def build(cls, cfg: LepskiiConfig, data: LevelData, sched: LevelSchedule, source) -> "_Ladder":
-        delta, alphas, kappa = cfg.delta_input, cfg.alphas, cfg.kappa
-        levels = [data.level(n_of(a, delta, sched)) for a in alphas]
-        psi = cfg.C_psi * np.sqrt(np.array(levels) / (4.0 * alphas))
-        psi_flags = ["psi_not_decreasing"] if np.any(np.diff(psi) >= 0) else []
-        source_flags = []
-        alpha_check = None
-        j_check = None
+    def build(
+        cls, cfg: LepskiiConfig, deltas: np.ndarray, data: LevelData, sched: LevelSchedule, source
+    ) -> "_Ladders":
+        """The ladders of ``cfg`` at each delta input, each entry bit-equal to its config alone.
+
+        Every level is ``data.level(n_of(alpha_j, delta, sched))``, and each
+        capped candidate logs its ``n_max`` warning.  m and alpha_0 = delta^2
+        use the scalar arithmetic of ``LepskiiConfig``, and each row of alphas
+        is alpha_0 times the powers q^j of an arange of its own length.
+        """
+        delta_list = deltas.tolist()
+        m = np.array([_grid_size(cfg.q, cfg.max_alpha, d) for d in delta_list])
+        alpha0 = np.array([d**2 for d in delta_list])
+        kappa = np.sqrt(m)
+        alphas = np.full((m.size, int(m.max()) + 1), np.nan)
+        for size in set((m + 1).tolist()):
+            same = m + 1 == size
+            alphas[same, :size] = alpha0[same, None] * cfg.q ** np.arange(size)
+        valid = ~np.isnan(alphas)
+        requested = n_of(alphas, deltas[:, None], sched)[valid]
+        # each distinct request is served once; np.unique would import numpy.ma
+        wanted = sorted(set(requested.tolist()))
+        served = np.array([data.level(int(n)) for n in wanted])
+        levels = np.zeros(alphas.shape, dtype=int)
+        levels[valid] = served[np.searchsorted(wanted, requested)]
+        psi = cfg.C_psi * np.sqrt(levels / (4.0 * alphas))
+        rising = np.any(np.diff(psi, axis=1) >= 0, axis=1).tolist()
+        psi_flags = [["psi_not_decreasing"] if bad else [] for bad in rising]
+        source_flags = [[] for _ in delta_list]
+        alpha_check = j_check = None
         if source is not None:
-            phi_vals = np.array([source.radius * source.phi(a) for a in alphas])
-            if np.any(np.diff(phi_vals) <= 0):
-                source_flags.append("phi_not_increasing")
-            feasible = np.nonzero(phi_vals <= delta * psi)[0]
-            j_check = int(feasible.max()) if feasible.size else 0
-            alpha_check = float(alphas[j_check])
-            if phi_vals[0] > delta * psi[0]:
-                source_flags.append("side_condition_violated")
-        band = 4.0 * kappa * delta * psi
-        return cls(
-            alphas.size - 1, kappa, alphas, levels, psi, band, psi_flags, source_flags,
-            alpha_check, j_check,
-        )
+            j_check = np.zeros(m.size, dtype=int)
+            for i, delta in enumerate(delta_list):
+                row_alphas, row_psi = alphas[i, : m[i] + 1], psi[i, : m[i] + 1]
+                phi_vals = np.array([source.radius * source.phi(a) for a in row_alphas])
+                if np.any(np.diff(phi_vals) <= 0):
+                    source_flags[i].append("phi_not_increasing")
+                feasible = np.nonzero(phi_vals <= delta * row_psi)[0]
+                j_check[i] = int(feasible.max()) if feasible.size else 0
+                if phi_vals[0] > delta * row_psi[0]:
+                    source_flags[i].append("side_condition_violated")
+            alpha_check = alphas[np.arange(m.size), j_check]
+        band = (4.0 * kappa * deltas)[:, None] * psi
+        return cls(m, kappa, alphas, levels, psi, band, psi_flags, source_flags, alpha_check, j_check)
 
 
 def lepskii_choose(
     op: DiscreteOperator,
     data: LevelData,
-    cfg: Union[LepskiiConfig, Sequence[LepskiiConfig]],
+    cfg: LepskiiConfig,
     sched: LevelSchedule,
     source: Optional[SourceCondition] = None,
     cache: Optional[LevelSolverCache] = None,
+    delta_inputs: Optional[np.ndarray] = None,
 ) -> LepskiiResult:
     """Balancing choice over the geometric grid with per-candidate levels, for a batch.
 
-    ``data`` holds R data rows; ``cfg`` is one config per row, or one for all
-    of them.  Candidate j of a row reads its data at level
-    ``n(alpha_j, delta)``, rounded up to a nested level by ``data``.  All
+    ``data`` holds R data rows.  Every row balances with ``cfg``, at its
+    ``delta_input`` or, when ``delta_inputs`` (R,) is given, row i at
+    ``delta_inputs[i]``; the candidates of each delta input are laid out
+    once, in one table for all of them (``_Ladders``).  Candidate j of a row
+    reads its data at level ``n(alpha_j, delta)``, rounded up to a nested
+    level by ``data``.  All
     candidates of one level are computed in one product from one U^T y per
     row, and the pairwise distances are taken after isometric embedding into
     the grid of L cells, L the lcm of the candidate levels.  When a source
@@ -412,23 +444,20 @@ def lepskii_choose(
     elif cache.op_fine is not op:
         raise ValueError("cache was built for a different operator")
     rows = data.rows
-    cfgs = [cfg] * rows if isinstance(cfg, LepskiiConfig) else list(cfg)
-    if len(cfgs) != rows:
-        raise ValueError(f"{len(cfgs)} Lepskii configs for {rows} data rows")
-
-    ladders = {}  # one per distinct config
-    for c in cfgs:
-        if id(c) not in ladders:
-            ladders[id(c)] = _Ladder.build(c, data, sched, source)
-    row_ladders = [ladders[id(c)] for c in cfgs]
-    m = np.array([lad.m for lad in row_ladders])
+    if delta_inputs is None:
+        ladders = _Ladders.build(cfg, np.array([cfg.delta_input]), data, sched, source)
+        of_row = np.zeros(rows, dtype=int)
+    else:
+        deltas = np.asarray(delta_inputs, dtype=float)
+        if deltas.shape != (rows,):
+            raise ValueError(f"{deltas.size} delta inputs for {rows} data rows")
+        if not np.all(np.isfinite(deltas) & (deltas > 0)):
+            raise ValueError("delta inputs must be positive and finite")
+        ladders = _Ladders.build(cfg, deltas, data, sched, source)
+        of_row = np.arange(rows)
+    m = ladders.m[of_row]
     width = int(m.max()) + 1
-    alphas, psi, band = (np.full((rows, width), np.nan) for _ in range(3))
-    levels = np.zeros((rows, width), dtype=int)
-    for i, lad in enumerate(row_ladders):
-        size = lad.m + 1
-        alphas[i, :size], psi[i, :size], band[i, :size] = lad.alphas, lad.psi, lad.band
-        levels[i, :size] = lad.levels
+    alphas, psi, band, levels = (t[of_row] for t in (ladders.alphas, ladders.psi, ladders.band, ladders.levels))
 
     # candidates: one U^T y per (batch, level), one product per level; the
     # distinct values come from bincount and sorted runs, as np.unique's first
@@ -471,25 +500,24 @@ def lepskii_choose(
     for level, ii, jj, x in blocks:
         hit = jj == j_star[ii]
         x_star.reshape(rows, level, -1)[ii[hit]] = (x[hit] * np.sqrt(level / op.n))[:, :, None]
-    checked = source is not None
     return LepskiiResult(
         j_star=j_star,
         alpha_star=alphas[np.arange(rows), j_star],
         m=m,
-        kappa=np.array([lad.kappa for lad in row_ladders]),
+        kappa=ladders.kappa[of_row],
         alphas=alphas,
         psi=psi,
         candidate_levels=levels,
         accepted=accepted,
         pairs=pairs,
         row_flags=[
-            lad.psi_flags + ([] if ok else ["lepskii_degenerate"]) + lad.source_flags
-            for lad, ok in zip(row_ladders, some.tolist())
+            ladders.psi_flags[i] + ([] if ok else ["lepskii_degenerate"]) + ladders.source_flags[i]
+            for i, ok in zip(of_row.tolist(), some.tolist())
         ],
         x_star=x_star,
         blocks=blocks,
-        alpha_check=np.array([lad.alpha_check for lad in row_ladders]) if checked else None,
-        j_check=np.array([lad.j_check for lad in row_ladders]) if checked else None,
+        alpha_check=None if source is None else ladders.alpha_check[of_row],
+        j_check=None if source is None else ladders.j_check[of_row],
     )
 
 
@@ -505,19 +533,18 @@ def data_driven_choose(
     """Fully data-driven pipeline: estimate delta_hat per row, then balance with it.
 
     Each row's delta_hat comes from one ``refine_delta_hat`` call on that
-    row, which reads the batch estimates ``raw_data`` caches per level, so
-    every level's estimate is computed once for all rows; one batched
-    ``lepskii_choose`` call then balances every row with its own estimate.
-    Returns the estimates, one per row, and the Lepskii result, whose
-    ``x_star`` holds the chosen solutions.  A non-converged estimate is
-    flagged but still used.
+    row; the first call refines all rows of ``raw_data`` in one loop and
+    caches the result there, so the others only read it.  One batched
+    ``lepskii_choose`` call then balances every row with its own estimate,
+    laying out one candidate ladder per row.  Returns the estimates, one per
+    row, and the Lepskii result, whose ``x_star`` holds the chosen
+    solutions.  A non-converged estimate is flagged but still used.
     """
-    rows = range(raw_data.rows)
-    estimates = [refine_delta_hat(op, raw_data, est_cfg, sched, row=i) for i in rows]
+    estimates = [refine_delta_hat(op, raw_data, est_cfg, sched, row=i) for i in range(raw_data.rows)]
+    delta_hat = np.array([e.delta_hat for e in estimates])
     # a zero estimate (constant data) is floored so that the alpha grid exists
-    deltas = [e.delta_hat if e.delta_hat > 0.0 else 1e-12 for e in estimates]
-    cfgs = [lep_cfg_template.with_delta(d) for d in deltas]
-    result = lepskii_choose(op, raw_data, cfgs, sched, source=source, cache=cache)
+    deltas = np.where(delta_hat > 0.0, delta_hat, 1e-12)
+    result = lepskii_choose(op, raw_data, lep_cfg_template, sched, source=source, cache=cache, delta_inputs=deltas)
     for flags, estimate in zip(result.row_flags, estimates):
         if not estimate.converged:
             flags.append("estimator_not_converged")

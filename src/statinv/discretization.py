@@ -36,6 +36,17 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+_CAP_MESSAGE = "level schedule requested n=%d at (alpha=%.3g, delta=%.3g); capping at n_max=%d"
+
+
+def _scalar_power(base: np.ndarray, exponent: float) -> np.ndarray:
+    """``b ** exponent`` for every entry b, by the scalar (libm) power.
+
+    numpy's array power is vectorized and can differ from it in the last
+    bit, which is enough to move a ceil, and with it a level.
+    """
+    return np.array([b**exponent for b in base.ravel().tolist()]).reshape(base.shape)
+
 
 @dataclass(frozen=True)
 class LevelSchedule:
@@ -73,27 +84,47 @@ class LevelSchedule:
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
 
-    def uncapped(self, alpha: float, delta: float) -> int:
-        """The raw max rule before applying the ``n_max`` cap."""
-        if alpha <= 0 or delta <= 0:
+    def uncapped(self, alpha, delta):
+        """The raw max rule before applying the ``n_max`` cap.
+
+        A scalar pair gives an int.  Arrays broadcast and give a float array,
+        since an uncapped level can exceed every integer type; a nan alpha
+        (the padding of a ladder table) gives nan.
+        """
+        a, d = np.asarray(alpha, dtype=float), np.asarray(delta, dtype=float)
+        if (a <= 0).any() or (d <= 0).any():
             raise ValueError("alpha and delta must be positive")
-        n1 = math.ceil(self.c1 * alpha ** (-1.0 / (2.0 * self.r)))
-        n2 = math.ceil(self.c2 * delta ** (-self.eta)) if self.c2 > 0 else 1
-        return max(n1, n2, 1)
+        n = np.ceil(self.c1 * _scalar_power(a, -1.0 / (2.0 * self.r)))
+        if self.c2 > 0:
+            n = np.maximum(n, np.ceil(self.c2 * _scalar_power(d, -self.eta)))
+        n = np.maximum(n, 1.0)
+        if np.isinf(n).any():
+            raise OverflowError("cannot convert float infinity to integer")
+        return int(n) if n.ndim == 0 else n
 
     def with_n_max(self, n_max: int) -> "LevelSchedule":
         return replace(self, n_max=n_max)
 
 
-def n_of(alpha: float, delta: float, sched: LevelSchedule) -> int:
-    """n(alpha, delta) = max(ceil(c1 alpha^(-1/2r)), ceil(c2 delta^(-eta))), capped."""
+def n_of(alpha, delta, sched: LevelSchedule):
+    """n(alpha, delta) = max(ceil(c1 alpha^(-1/2r)), ceil(c2 delta^(-eta))), capped.
+
+    A scalar pair gives an int.  Arrays broadcast and give floats holding
+    whole numbers, nan for a nan alpha.  Every capped entry logs one
+    warning, in row-major order.
+    """
     n = sched.uncapped(alpha, delta)
-    if n > sched.n_max:
-        log.warning(
-            "level schedule requested n=%d at (alpha=%.3g, delta=%.3g); capping at n_max=%d",
-            n, alpha, delta, sched.n_max,
-        )
-        return sched.n_max
+    if isinstance(n, int):
+        if n > sched.n_max:
+            log.warning(_CAP_MESSAGE, n, alpha, delta, sched.n_max)
+            return sched.n_max
+        return n
+    capped = n > sched.n_max
+    if capped.any():
+        alpha, delta = np.broadcast_arrays(alpha, delta)
+        for pair in zip(n[capped].tolist(), alpha[capped].tolist(), delta[capped].tolist()):
+            log.warning(_CAP_MESSAGE, *pair, sched.n_max)
+        n[capped] = sched.n_max
     return n
 
 
@@ -211,14 +242,15 @@ class LevelData:
     observation is the case R = 1).  Requested levels are rounded up to the
     nearest nested one, and each level is projected once for the whole batch;
     requests beyond the fine grid raise :class:`DataUnavailableError`.
-    :meth:`per_level` caches a statistic of the whole batch per level.
+    :meth:`per_level` caches a statistic of the whole batch per level, and
+    :meth:`cached` any other result computed from the batch.
     """
 
     def __init__(self, obs_fine: Observation):
         self._obs = obs_fine
         self._cache = {obs_fine.n: obs_fine}
         self._levels = {}  # requested level -> nested level
-        self._stats = {}  # (statistic, nested level) -> its value on the batch
+        self._stats = {}  # key -> a result computed from the batch, e.g. (statistic, level)
 
     @property
     def n_fine(self) -> int:
@@ -246,7 +278,10 @@ class LevelData:
 
     def per_level(self, stat, n_requested: int):
         """``stat`` of the whole batch at the level serving ``n_requested``, computed once."""
-        key = (stat, self.level(n_requested))
+        return self.cached((stat, self.level(n_requested)), lambda: stat(self(n_requested)))
+
+    def cached(self, key, compute):
+        """``compute()``, computed once per hashable ``key`` for this batch."""
         if key not in self._stats:
-            self._stats[key] = stat(self(n_requested))
+            self._stats[key] = compute()
         return self._stats[key]

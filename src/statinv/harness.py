@@ -354,11 +354,11 @@ class Choice:
     """One method's parameter choice on the R rows of a batch, as arrays over the rows.
 
     ``alpha`` (R,) and the solutions ``x`` (R, n) are always set, and
-    ``flags`` lists each row's flags.  ``j_star``, ``m`` and ``best_error``
-    (the least true error over the Lepskii candidates) are set by the
-    Lepskii methods, ``delta_hat`` by the estimated-delta method,
-    ``residual`` and ``satisfied`` by the discrepancy principle; each is an
-    (R,) array.
+    ``flags`` lists each row's flags.  ``j_star`` and ``m`` are set by the
+    Lepskii methods, ``best_error`` (the least true error over the
+    candidates, which the veto study reports) by the known-delta one,
+    ``delta_hat`` by the estimated-delta method, ``residual`` and
+    ``satisfied`` by the discrepancy principle; each is an (R,) array.
     """
 
     alpha: np.ndarray
@@ -377,7 +377,7 @@ def choose(study: Study, method: str, data: LevelData) -> Choice:
 
     Every rule takes the whole batch in one call, and its record of per-row
     arrays becomes one ``Choice``.  ``study.x_true`` is read by the oracle
-    and for the Lepskii ``best_error``.
+    and for the known-delta ``best_error``.
     """
     cfg, op, x_true, fine = study.cfg, study.op, study.x_true, data.fine
     template = LepskiiConfig(
@@ -396,9 +396,10 @@ def choose(study: Study, method: str, data: LevelData) -> Choice:
             residual=dp.residual,
             satisfied=dp.satisfied,
         )
-    delta_hat = None
+    delta_hat = best_error = None
     if method == "lepskii_known_delta":
         lep = lepskii_choose(op, data, template, study.sched, cache=study.cache)
+        best_error = lep.errors(x_true).min(axis=1)  # the veto study's oracle column
     elif method == "lepskii_estimated_delta":
         estimates, lep = data_driven_choose(op, data, cfg.estimator, template, study.sched, cache=study.cache)
         delta_hat = np.array([e.delta_hat for e in estimates])
@@ -411,7 +412,7 @@ def choose(study: Study, method: str, data: LevelData) -> Choice:
         j_star=lep.j_star,
         m=lep.m,
         delta_hat=delta_hat,
-        best_error=lep.errors(x_true).min(axis=1),
+        best_error=best_error,
     )
 
 

@@ -11,16 +11,16 @@ E[dts_n] = delta^2 (n-1)/n, while a Hoelder-s exact part contributes only
 O(n^-(1+2s)).  The scaled estimate is delta_hat = tau * sqrt(dts_n), tau > 1.
 
 ``estimate_delta_sq`` and ``omega_plus_rate`` read a batch of R realizations
-as one (R, n) array.  ``refine_delta_hat`` follows one row of a
-:class:`LevelData` batch through its levels; the batch estimate of each level
-is computed once, on the whole (R, n_level) block, and cached on the
-``LevelData``, so the rows of a batch share it.
+as one (R, n) array.  ``refine_delta_hat`` returns one row's refinement of a
+:class:`LevelData` batch, but refines all R rows in one loop on its first
+call and caches the result on the ``LevelData``: each pass groups the
+rows by the level they request and reads their estimates off that level's
+batch estimate, computed once on the whole (R, n_level) block.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,64 +139,103 @@ def refine_delta_hat(
 ) -> NoiseEstimate:
     """Fixed-point refinement of delta_hat over growing discretization levels.
 
-    Follows realization ``row`` of the batch ``data``; its estimate at a
-    level is entry ``row`` of the batch estimate that ``data`` caches per
-    level, bit-equal to the estimate of that row alone.  Starting at
-    level ``est.n0``, each pass estimates delta_hat = tau * sqrt(dts_n) at
-    the current level n, sets alpha = delta_hat^2 and requests the next
-    level max(n(alpha, delta_hat), ceil(p * n)).  The loop always runs
-    ``m_window`` passes, then stops once the trailing window of estimates
-    spreads by at most ``eps * delta_hat``.  If the schedule requests a
-    level beyond ``sched.n_max`` or the data source cannot supply it, the
-    loop stops with ``converged=False`` and the last estimate is returned.
+    Returns the refinement of realization ``row`` of the batch ``data``.
+    Starting at level ``est.n0``, each pass estimates delta_hat = tau *
+    sqrt(dts_n) at the current level n, sets alpha = delta_hat^2 and requests
+    the next level max(n(alpha, delta_hat), ceil(p * n)).  The loop always
+    runs ``m_window`` passes, then stops once the trailing window of
+    estimates spreads by at most ``eps * delta_hat``.  If the schedule
+    requests a level beyond ``sched.n_max`` or the data source cannot supply
+    it, the loop stops with ``converged=False`` and the last estimate is
+    returned.
+
+    The first call refines every row of ``data`` at once (``_refine_rows``)
+    and caches the result on ``data``; each row's estimate is bit-equal to
+    that row refined alone.
+    """
+    key = (_refine_rows, op.grid.n_cells, est, sched, max_iterations)
+    delta_tilde_sq, n_used, iterations, converged = data.cached(
+        key, lambda: _refine_rows(op, data, est, sched, max_iterations)
+    )
+    dts = delta_tilde_sq[row]
+    return NoiseEstimate(
+        delta_tilde_sq=float(dts),
+        delta_hat=float(est.tau * np.sqrt(dts)),
+        n_used=int(n_used[row]),
+        tau=float(est.tau),
+        iterations=int(iterations[row]),
+        converged=bool(converged[row]),
+    )
+
+
+def _refine_rows(
+    op: DiscreteOperator, data: LevelData, est: EstimatorConfig, sched: LevelSchedule, max_iterations: int
+) -> tuple:
+    """The refinement of ``refine_delta_hat`` for all R rows of ``data`` in one loop.
+
+    Returns the (R,) arrays delta_tilde_sq, n_used, iterations and
+    converged.  Each pass reads the active rows' estimates off the batch
+    estimate that ``data`` caches per level, one group of rows per requested
+    level, and writes them into an (R, m_window) ring of trailing estimates;
+    the rows that stop drop out.
     """
     tau, p, eps, m_window = est.tau, est.p, est.eps, est.m_window
-    n = est.n0
-    history = []
-    converged = False
-    delta_tilde_sq = 0.0
-    n_used = n
+    rows = data.rows
+    delta_tilde_sq = np.zeros(rows)
+    n_used = np.full(rows, est.n0)
+    iterations = np.zeros(rows, dtype=int)
+    converged = np.zeros(rows, dtype=bool)
+    history = np.empty((rows, m_window))
+    request = np.full(rows, est.n0)
+    active = np.arange(rows)
     k = 0
-    while True:
+    while active.size:
         k += 1
-        try:
-            level = data.level(n)
-        except DataUnavailableError:
-            break
-        if op.grid.n_cells % level != 0:
-            raise ValueError("observation level is not nested in the operator grid")
-        n_used = level
-        delta_tilde_sq = np.atleast_1d(data.per_level(estimate_delta_sq, level))[row]
-        delta_hat = tau * np.sqrt(delta_tilde_sq)
-        history.append(delta_hat)
+        iterations[active] = k
+        wanted = request[active]
+        requests = sorted(set(wanted.tolist()))
+        for n in requests:
+            try:
+                level = data.level(n)
+            except DataUnavailableError:
+                # these rows stop and keep their last estimate
+                active, wanted = active[wanted != n], wanted[wanted != n]
+                continue
+            if op.grid.n_cells % level != 0:
+                raise ValueError("observation level is not nested in the operator grid")
+            mine = active if len(requests) == 1 else active[wanted == n]
+            n_used[mine] = level
+            delta_tilde_sq[mine] = np.atleast_1d(data.per_level(estimate_delta_sq, level))[mine]
+        delta_hat = tau * np.sqrt(delta_tilde_sq[active])
+        history[active, (k - 1) % m_window] = delta_hat
         if k >= m_window:
-            window = history[-m_window:]
-            if max(window) - min(window) <= eps * delta_hat:
-                converged = True
-                break
+            window = history[active]
+            settled = window.max(axis=1) - window.min(axis=1) <= eps * delta_hat
+            converged[active[settled]] = True
+            active, delta_hat = active[~settled], delta_hat[~settled]
         if k >= max_iterations:
-            log.warning("refinement did not settle within %d iterations", max_iterations)
+            for _ in range(active.size):
+                log.warning("refinement did not settle within %d iterations", max_iterations)
             break
-        if delta_hat <= 0.0:
-            # constant data; no further level can change the estimate
-            break
-        alpha = delta_hat**2
-        n_next = max(sched.uncapped(alpha, delta_hat), math.ceil(p * n_used))
-        if n_next > sched.n_max:
-            if n_used >= sched.n_max:
-                log.debug("refinement stopped by the n_max=%d cap", sched.n_max)
-                break
-            n_next = sched.n_max  # exhaust the finest level before giving up
-        n = n_next
+        constant = delta_hat <= 0.0  # no further level can change the estimate
+        if constant.any():
+            active, delta_hat = active[~constant], delta_hat[~constant]
+        # alpha = delta_hat^2 by the scalar power; the array square is x*x, which can round differently
+        alpha = np.array([d**2 for d in delta_hat.tolist()])
+        n_next = np.maximum(sched.uncapped(alpha, delta_hat), np.ceil(p * n_used[active]))
+        over = n_next > sched.n_max
+        if over.any():
+            # a row below the cap exhausts the finest level before giving up
+            stop = over & (n_used[active] >= sched.n_max)
+            n_next[over] = sched.n_max
+            if stop.any():
+                log.debug("refinement of %d rows stopped by the n_max=%d cap", stop.sum(), sched.n_max)
+        else:
+            stop = over
+        request[active] = n_next
+        active = active[~stop]
 
-    return NoiseEstimate(
-        delta_tilde_sq=float(delta_tilde_sq),
-        delta_hat=float(tau * np.sqrt(delta_tilde_sq)),
-        n_used=int(n_used),
-        tau=float(tau),
-        iterations=k,
-        converged=converged,
-    )
+    return delta_tilde_sq, n_used, iterations, converged
 
 
 def omega_plus_rate(

@@ -15,6 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from statinv.harness import build_study, config_from_mapping
+from statinv.noise_level import refine_delta_hat
+
 ROOT = Path(__file__).resolve().parents[1]
 
 STUDIES = {
@@ -97,6 +100,8 @@ def test_every_traced_entry_point_but_the_retired_solver_exists(tmp_path, name):
         assert record["lepskii"]["candidates"] > 0
         # coarse levels are built inside the traced entry point, not on a later matrix read
         assert _spans(record, "discretization.project_operator") > 0
+        # the level rule runs under the traced n_of, once per ladder table
+        assert _spans(record, "discretization.n_of") == _spans(record, "choice.lepskii_choose") > 0
     elif name == "transform":
         # the matrix-free operator is still built, projected and applied through the hooks
         for hook in ("operators.DiscreteOperator", "operators.apply", "discretization.project_operator"):
@@ -104,3 +109,22 @@ def test_every_traced_entry_point_but_the_retired_solver_exists(tmp_path, name):
     else:
         # oracle_transform: the batched solves run the transforms under the traced wrapper
         assert _spans(record, "filters.regularize_svd") > 0
+
+
+@pytest.mark.parametrize("name", ["veto", "transform"])
+def test_traced_refinement_counts_one_estimate_per_row(tmp_path, name):
+    # noise_level.iterations and converged_ratio sum the per-call results of
+    # refine_delta_hat, so it must still be called once per replicate and delta
+    record = _traced_record(tmp_path, name)
+    lines = (line.split("=", 1) for line in STUDIES[name].strip().splitlines())
+    cfg = config_from_mapping({key.strip(): value.strip() for key, value in lines})
+    rows = cfg.replicates * len(cfg.delta_list)
+    assert _spans(record, "noise_level.refine_delta_hat") == record["refine"]["calls"] == rows
+    study = build_study(cfg)
+    estimates = [
+        refine_delta_hat(study.op, data, cfg.estimator, study.sched, row=i)
+        for data in (study.batch(di) for di in range(len(cfg.delta_list)))
+        for i in range(cfg.replicates)
+    ]
+    assert record["refine"]["iterations"] == sum(e.iterations for e in estimates)
+    assert record["refine"]["converged"] == sum(e.converged for e in estimates)

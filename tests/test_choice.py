@@ -38,6 +38,7 @@ from statinv import (
     tikhonov,
 )
 from statinv.choice import _CHUNK
+from statinv.grid import distances
 from statinv.harness import METHODS, build_study
 from statinv.signals import dirac_direction, make_signal
 
@@ -87,7 +88,7 @@ def test_oracle_noiseless_prefers_smallest_alpha(op256):
     grid = np.logspace(-8, -1, 10)
     result = oracle_choice(op256, x, obs, tikhonov(), grid)
     assert result.alpha[0] == pytest.approx(grid[0])
-    assert result.error[0] < 1e-3
+    assert distances(result.x, x.coeffs)[0] < 1e-3
 
 
 def test_oracle_pure_noise_prefers_largest_alpha(op256):
@@ -141,7 +142,7 @@ def test_oracle_matches_brute_force_loop(cross_check_op, filt):
             assert result.alpha.tolist() == [alpha_ref]
             assert np.array_equal(result.x, x_ref[None])
             # the error is the 1-D norm of the winner's solution
-            assert result.error.tolist() == [err_ref]
+            assert distances(result.x, x.coeffs).tolist() == [err_ref]
 
 
 def test_oracle_ties_go_to_smallest_alpha(op256):
@@ -308,6 +309,22 @@ def test_lepskii_degenerate_flag(op256):
     assert result.alpha_star[0] == pytest.approx(cfg.alpha0)
 
 
+def test_lepskii_delta_inputs_are_one_positive_value_per_row(op64):
+    x = make_signal("smooth", op64.grid)
+    data = LevelData(observe(op64, x, 0.05, NoiseSpec.gaussian_white(3), replicate=[0, 1]))
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op64.norm**2, delta_input=0.05)
+    sched = LevelSchedule(c2=0.0, n_max=64)
+    for bad in ([0.05], [0.05, 0.05, 0.05], [0.05, 0.0], [0.05, np.inf]):
+        with pytest.raises(ValueError):
+            lepskii_choose(op64, data, cfg, sched, delta_inputs=np.array(bad))
+    # equal inputs give the shared-input result
+    shared = lepskii_choose(op64, data, cfg, sched)
+    per_row = lepskii_choose(op64, data, cfg, sched, delta_inputs=np.array([0.05, 0.05]))
+    for name in ("j_star", "alpha_star", "m", "kappa", "alphas", "psi", "candidate_levels", "pairs", "x_star"):
+        assert np.array_equal(getattr(shared, name), getattr(per_row, name), equal_nan=True), name
+    assert shared.row_flags == per_row.row_flags
+
+
 def _candidate(result, i, j):
     """Candidate j of row i on its own level, read off the result's level blocks."""
     for level, ii, jj, x in result.blocks:
@@ -346,7 +363,7 @@ def test_data_driven_reduces_to_lepskii(op1024):
     # feeding the produced estimate back through the known-level rule gives
     # the identical choice: the pipeline is exactly estimate-then-balance
     again = lepskii_choose(
-        op1024, LevelData(obs), template.with_delta(estimate.delta_hat), SCHED, cache=cache
+        op1024, LevelData(obs), replace(template, delta_input=estimate.delta_hat), SCHED, cache=cache
     )
     assert again.j_star.tolist() == lep.j_star.tolist()
     assert np.array_equal(again.x_star, lep.x_star)
@@ -450,7 +467,7 @@ def test_batched_lepskii_matches_the_scalar_rule(n, kind, delta):
     total = 0
     for i in range(batch.rows):
         single = batch.row(i)
-        for result, cfg in [(known, template), (estimated, template.with_delta(estimates[i].delta_hat))]:
+        for result, cfg in [(known, template), (estimated, replace(template, delta_input=estimates[i].delta_hat))]:
             j_star, accepted, pairs, x_star = _scalar_lepskii(op, single, cfg, sched)
             assert result.j_star[i] == j_star
             assert np.flatnonzero(result.accepted[i]).tolist() == accepted
@@ -514,10 +531,11 @@ def test_oracle_rows_across_a_block_boundary_equal_single_rows():
     batch, singles = _rows(OP1024, x, 0.01, NoiseSpec.gaussian_white(3), BLOCK + 3)
     grid = np.geomspace(1e-7, 1e-1, 13)
     picks = oracle_choice(OP1024, x, batch, tikhonov(), grid)
-    assert picks.alpha.shape == picks.error.shape == (BLOCK + 3,)
+    errors = distances(picks.x, x.coeffs)
+    assert picks.alpha.shape == errors.shape == (BLOCK + 3,)
     for i, obs in enumerate(singles):
         alone = oracle_choice(OP1024, x, obs, tikhonov(), grid)
-        assert (picks.alpha[i], picks.error[i]) == (alone.alpha[0], alone.error[0])
+        assert (picks.alpha[i], errors[i]) == (alone.alpha[0], distances(alone.x, x.coeffs)[0])
         assert np.array_equal(picks.x[i], alone.x[0])
 
 

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -44,6 +45,55 @@ def test_n_of_cap_logs_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="statinv.discretization"):
         assert n_of(1e-8, 1e-3, sched) == 64
     assert any("capping" in rec.message for rec in caplog.records)
+
+
+def _power_levels(sched, alphas, deltas):
+    """The level rule per entry by Python's scalar ``**`` and ``math.ceil``."""
+    return [
+        max(
+            math.ceil(sched.c1 * a ** (-1.0 / (2.0 * sched.r))),
+            math.ceil(sched.c2 * d ** (-sched.eta)) if sched.c2 > 0 else 1,
+            1,
+        )
+        for a, d in zip(alphas, deltas)
+    ]
+
+
+def test_level_arrays_round_as_the_scalar_power(caplog):
+    # alpha = 1/k^2 puts alpha^(-1/2) within an ulp or two of the integer k, so
+    # a power that rounds differently from the scalar one moves the ceil
+    k = np.arange(1, 20001, dtype=float)
+    alphas = 1.0 / k**2
+    delta = np.full(k.size, 1e-3)
+    sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=1.0, n_max=10**4)
+    expected = _power_levels(sched, alphas.tolist(), delta.tolist())
+    uncapped = sched.uncapped(alphas, delta)
+    assert uncapped.tolist() == expected
+    assert [sched.uncapped(a, d) for a, d in zip(alphas[:50].tolist(), delta[:50].tolist())] == expected[:50]
+    with caplog.at_level(logging.WARNING, logger="statinv.discretization"):
+        levels = n_of(alphas, delta, sched)
+        warned = len(caplog.records)
+        assert levels.tolist() == [min(n, sched.n_max) for n in expected]
+        capped = [i for i, n in enumerate(expected) if n > sched.n_max]
+        assert [n_of(alphas[i], delta[i], sched) for i in capped] == [sched.n_max] * len(capped)
+    # one warning per capped entry, worded as for the scalar pair
+    assert warned == len(capped) == len(caplog.records) - warned
+    assert [r.message for r in caplog.records[:warned]] == [r.message for r in caplog.records[warned:]]
+
+
+def test_level_arrays_reject_what_the_scalar_rule_rejects():
+    sched = LevelSchedule(r=1.0, eta=1.0)
+    with pytest.raises(ValueError):
+        sched.uncapped(np.array([1e-3, 0.0]), 0.1)
+    with pytest.raises(ValueError):
+        sched.uncapped(np.array([1e-3]), np.array([-0.1]))
+    steep = LevelSchedule(r=0.1, eta=1.9)  # alpha^(-5) overflows
+    with pytest.raises(OverflowError):
+        steep.uncapped(1e-300, 0.1)
+    with pytest.raises(OverflowError):
+        steep.uncapped(np.array([1e-3, 1e-300]), 0.1)
+    # a nan alpha (the padding of a ladder table) gives a nan level, and no warning
+    assert np.isnan(n_of(np.array([np.nan, 1e-4]), 0.1, sched)).tolist() == [True, False]
 
 
 def test_schedule_eta_validation():

@@ -1,15 +1,24 @@
 """Property tests of the nested projections, the level schedule, the
 operator's singular system, the filter laws, the noise-level estimator and
-the noise streams, run with fixed examples."""
+its refinement, the balancing ladder and the noise streams, run with fixed
+examples."""
+
+import logging
+import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from statinv import (
+    DataUnavailableError,
     DiscreteOperator,
+    EstimatorConfig,
     Grid,
     L2Vector,
+    LepskiiConfig,
     LevelData,
+    NoiseEstimate,
     NoiseSpec,
     Observation,
     RegularizedSolution,
@@ -20,11 +29,14 @@ from statinv import (
     draw_noise,
     embed_vector,
     estimate_delta_sq,
+    lepskii_choose,
+    n_of,
     nested_level,
     observe,
     project,
     project_operator,
     project_vector,
+    refine_delta_hat,
     regularize_svd,
     spectral_cutoff,
     spectral_series,
@@ -272,6 +284,127 @@ def test_uncapped_level_equals_the_numpy_ceil(r, eta_frac, c1, c2, alpha, delta)
     new = _outcome(sched.uncapped, alpha, delta)
     assert new == _outcome(_old_uncapped, sched, alpha, delta)
     assert isinstance(new, type) or (type(new) is int and new >= 1)
+
+
+def _scalar_refine(obs, est, sched, max_iterations):
+    """The refinement of one realization, one level at a time, without a LevelData."""
+    n, history, k = est.n0, [], 0
+    delta_tilde_sq, n_used, converged = 0.0, n, False
+    while True:
+        k += 1
+        try:
+            level = nested_level(n, obs.n)
+        except DataUnavailableError:
+            break
+        n_used = level
+        delta_tilde_sq = estimate_delta_sq(project(obs, level))
+        delta_hat = est.tau * np.sqrt(delta_tilde_sq)
+        history.append(delta_hat)
+        window = history[-est.m_window :]
+        if k >= est.m_window and max(window) - min(window) <= est.eps * delta_hat:
+            converged = True
+            break
+        if k >= max_iterations or delta_hat <= 0.0:
+            break
+        n_next = max(sched.uncapped(delta_hat**2, delta_hat), math.ceil(est.p * n_used))
+        if n_next > sched.n_max:
+            if n_used >= sched.n_max:
+                break
+            n_next = sched.n_max
+        n = n_next
+    tau = est.tau
+    return NoiseEstimate(float(delta_tilde_sq), float(tau * np.sqrt(delta_tilde_sq)), n_used, tau, k, converged)
+
+
+@PROPERTY
+@given(
+    st.sampled_from(FINE_SIZES),
+    st.lists(st.sampled_from(["noise", "constant", "exact"]), min_size=1, max_size=5),
+    st.sampled_from([0.1, 0.01, 1e6]),  # eps
+    st.integers(1, 4),  # m_window
+    st.sampled_from([1, 2, 3, 50]),  # max_iterations
+    st.sampled_from([2, 16, 128]),  # n0; 128 exceeds every fine grid here
+    st.sampled_from([8, 16, 32, 64, 1024]),  # n_max; 1024 lets requests run past the data
+    st.sampled_from([0.0, 1.0]),  # c2
+    st.floats(1e-3, 0.3),  # delta
+    st.integers(0, 2**31),
+)
+@example(64, ["constant", "noise"], 0.1, 3, 50, 16, 64, 0.0, 0.05, 1)  # delta_hat = 0
+@example(256, ["exact", "noise"], 0.1, 3, 50, 16, 32, 0.0, 0.01, 2)  # stopped by n_max
+@example(96, ["noise"] * 3, 1e6, 3, 50, 16, 1024, 1.0, 0.05, 3)  # stops when the window fills
+@example(100, ["noise", "exact"], 0.01, 4, 2, 16, 1024, 0.0, 0.05, 4)  # max_iterations
+def test_batch_refinement_equals_the_scalar_loop(
+    n, kinds, eps, m_window, max_iterations, n0, n_max, c2, delta, seed
+):
+    op = OPERATORS[n]
+    spec = NoiseSpec.gaussian_white(seed)
+    obs = observe(op, make_signal("smooth", op.grid), delta, spec, replicate=list(range(len(kinds))))
+    coeffs = obs.coeffs.copy()
+    for i, kind in enumerate(kinds):
+        if kind == "constant":
+            coeffs[i] = 0.25
+        elif kind == "exact":
+            coeffs[i] = obs.y_exact.coeffs
+    batch = Observation(obs.grid, obs.y_exact, obs.delta, coeffs, obs.noise, obs.seed_used)
+    est = EstimatorConfig(eps=eps, m_window=m_window, n0=n0)
+    sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=c2, n_max=n_max)
+    data = LevelData(batch)
+    for i in range(batch.rows):
+        got = refine_delta_hat(op, data, est, sched, row=i, max_iterations=max_iterations)
+        assert got == _scalar_refine(batch.row(i), est, sched, max_iterations)
+        if kinds[i] == "constant":
+            assert got.delta_hat == 0.0
+
+
+class _CapCount(logging.Handler):
+    """Counts the n_max warnings of the level schedule."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.count = 0
+
+    def emit(self, record):
+        self.count += "n_max" in str(record.msg)
+
+
+@PROPERTY
+@given(
+    st.sampled_from((64, 96, 100)),
+    st.lists(st.floats(1e-4, 0.5), min_size=1, max_size=4),  # delta inputs
+    st.booleans(),  # one delta input for every row
+    st.floats(1.5, 4.0),  # q
+    st.floats(0.6, 2.0),  # r
+    st.floats(0.2, 5.0),  # c1
+    st.sampled_from([0.0, 0.5, 2.0]),  # c2
+    st.sampled_from([8, 16, 64]),  # n_max
+)
+def test_ladder_levels_follow_n_of(n, deltas, shared, q, r, c1, c2, n_max):
+    op = OPERATORS[n]
+    rows = len(deltas)
+    x = make_signal("smooth", op.grid)
+    data = LevelData(observe(op, x, 0.05, NoiseSpec.gaussian_white(5), replicate=list(range(rows))))
+    sched = LevelSchedule(r=r, c1=c1, c2=c2, n_max=n_max)
+    cfg = LepskiiConfig(q=q, C_psi=1.0, max_alpha=op.norm**2, delta_input=deltas[0])
+    counter = _CapCount()
+    logger = logging.getLogger("statinv.discretization")
+    logger.addHandler(counter)
+    try:
+        result = lepskii_choose(op, data, cfg, sched, delta_inputs=None if shared else np.array(deltas))
+        warned = counter.count
+        ladders = [cfg] if shared else [replace(cfg, delta_input=d) for d in deltas]
+        for i in range(rows):
+            alone = ladders[0 if shared else i]
+            size = alone.m + 1
+            assert (result.m[i], result.kappa[i]) == (alone.m, alone.kappa)
+            assert np.array_equal(result.alphas[i, :size], alone.alphas)
+            levels = [data.level(n_of(a, alone.delta_input, sched)) for a in alone.alphas]
+            assert result.candidate_levels[i, :size].tolist() == levels
+            assert np.all(result.candidate_levels[i, size:] == 0)
+    finally:
+        logger.removeHandler(counter)
+    # one warning per capped candidate of each ladder: one ladder for a shared delta input
+    capped = sum(sched.uncapped(a, lad.delta_input) > n_max for lad in ladders for a in lad.alphas)
+    assert warned == capped
 
 
 @PROPERTY
