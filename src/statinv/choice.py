@@ -216,9 +216,9 @@ def _solve_rows(
     ``pick(c, rows)`` on slices of rows whose (rows, alphas, rank) tables hold
     at most ``_CHUNK`` entries, returning each row's index into the sorted
     ``alphas``, and one batched ``regularize_svd`` that solves every row of
-    the block at its own alpha.  Returns the blocks' solutions as one
-    ``RegularizedSolution`` of (R,) and (R, n) arrays, each row bit-equal to
-    the row solved alone.
+    the block at its own alpha from that same U^T y.  Returns the blocks'
+    solutions as one ``RegularizedSolution`` of (R,) and (R, n) arrays, each
+    row bit-equal to the row solved alone.
     """
     ys = np.atleast_2d(obs.coeffs)
     block, step = max(1, _CHUNK // op.n), max(1, _CHUNK // max(1, alphas.size * op.rank))
@@ -229,7 +229,7 @@ def _solve_rows(
         picks = np.empty(rows.shape[0], dtype=int)
         for k in range(0, picks.size, step):
             picks[k : k + step] = pick(c[k : k + step], rows[k : k + step])
-        sol = regularize_svd(filt, op, rows, alphas[picks])
+        sol = regularize_svd(filt, op, rows, alphas[picks], uty=c)
         chosen[b : b + block], residual[b : b + block], x[b : b + block] = sol.alpha, sol.residual_norm, sol.x_alpha
     return RegularizedSolution(alpha=chosen, x_alpha=x, residual_norm=residual, solver="svd_series")
 

@@ -125,34 +125,42 @@ class RegularizedSolution:
     solver: str
 
 
-def spectral_series(filt: Filter, op: DiscreteOperator, y: np.ndarray, alpha) -> np.ndarray:
+def spectral_series(filt: Filter, op: DiscreteOperator, y: np.ndarray, alpha, *, uty=None) -> np.ndarray:
     """Coefficients of x_alpha = sum_{s_j>0} F_alpha(s_j^2) s_j <y, u_j> v_j.
 
     The series runs over the numerical rank only.  ``y`` is one data vector
     (n,) or a batch (R, n), and each row of a batch gives the bits of its
     own 1-D series.  ``alpha`` is a float or an (R, 1) column, one alpha
-    per row.
+    per row.  ``uty`` is ``op.uty(y)`` (U_r^T y) when the caller has it.
     """
     s = op.s[: op.rank]
-    return op.v(filter_value(filt, alpha, s**2) * s * op.uty(y))
+    if uty is None:
+        uty = op.uty(y)
+    elif np.shape(uty) != (*np.shape(y)[:-1], op.rank):
+        raise ValueError(f"U_r^T y of shape {np.shape(uty)} for data of shape {np.shape(y)}")
+    return op.v(filter_value(filt, alpha, s**2) * s * uty)
 
 
-def regularize_svd(filt: Filter, op: DiscreteOperator, y: np.ndarray, alpha) -> RegularizedSolution:
+def regularize_svd(filt: Filter, op: DiscreteOperator, y: np.ndarray, alpha, *, uty=None) -> RegularizedSolution:
     """Spectral route: ``spectral_series`` together with the data residual ||T x_alpha - y||.
 
     ``y`` is one data vector (n,) or a batch (R, n), and ``alpha`` a float
-    or an (R,) array, one alpha per row.  Returns one
-    ``RegularizedSolution`` whose fields have the shapes of ``y``.  A vector
-    is solved as a batch of one, and every row of a batch is bit-equal to
-    that row solved alone at its own alpha.  Raises ``ValueError`` if a
-    coefficient is not finite.
+    or an (R,) array, one alpha per row.  ``uty`` is ``op.uty(y)`` (U_r^T y)
+    when the caller has it, so that a rule that scored the rows on it does
+    not transform them again.  Returns one ``RegularizedSolution`` whose
+    fields have the shapes of ``y``.  A vector is solved as a batch of one,
+    and every row of a batch is bit-equal to that row solved alone at its
+    own alpha.  Raises ``ValueError`` if a coefficient is not finite.
     """
     y = np.asarray(y, dtype=float)
     rows = np.atleast_2d(y)
     alphas = np.asarray(alpha, dtype=float)
     if alphas.ndim and alphas.shape != rows.shape[:1]:
         raise ValueError(f"{alphas.shape[0]} alphas for {rows.shape[0]} data rows")
-    coeffs = require_finite_coeffs(spectral_series(filt, op, rows, alphas[:, None] if alphas.ndim else alpha))
+    c = None if uty is None else np.atleast_2d(uty)
+    coeffs = require_finite_coeffs(
+        spectral_series(filt, op, rows, alphas[:, None] if alphas.ndim else alpha, uty=c)
+    )
     d = apply(op, coeffs) - rows
     residuals = np.sqrt(np.vecdot(d, d))  # the 1-D norm's dot product, row by row
     # [()] turns the 0-d row shape of a vector into scalars

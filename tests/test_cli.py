@@ -1,4 +1,7 @@
+import atexit
+import gc
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -321,3 +324,62 @@ def test_converge_does_not_import_numpy_ma(tmp_path, cfg_text):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+# The exit hook: a process that ran ``main`` freezes the import graph at exit,
+# so that the interpreter's last collection skips it.
+CAPPED_VETO_CFG = VETO_SMALL_CFG.replace("schedule.c2 = 0.0", "schedule.c2 = 1.0").replace(
+    "schedule.n_max = 256", "schedule.n_max = 64"
+)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run_python(args, **kwargs):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, **kwargs)
+
+
+def test_converge_process_matches_in_process_run(tmp_path, capsys, caplog):
+    # a capped study: its n_max warnings reach stderr through logging's last-resort handler
+    cfg = tmp_path / "capped.cfg"
+    cfg.write_text(CAPPED_VETO_CFG)
+    sub_out, in_out = tmp_path / "sub.csv", tmp_path / "in.csv"
+    proc = _run_python(["-m", "statinv.cli", "converge", "--config", str(cfg), "--out", str(sub_out)])
+    assert proc.returncode == 0, proc.stderr
+    with caplog.at_level(logging.WARNING):
+        assert main(["converge", "--config", str(cfg), "--out", str(in_out)]) == 0
+    assert sub_out.read_bytes() == in_out.read_bytes()
+    assert proc.stdout.replace(str(sub_out), str(in_out)) == capsys.readouterr().out
+    warnings = proc.stderr.splitlines()
+    assert warnings == [record.getMessage() for record in caplog.records]
+    assert len(warnings) > 0 and all("capping at n_max=64" in line for line in warnings)
+
+
+# Registered before ``main`` runs, so atexit calls it after every handler ``main`` adds.
+_FREEZE_COUNT_AT_EXIT = """
+import atexit, gc, sys
+atexit.register(lambda: print("freeze_count", gc.get_freeze_count()))
+from statinv.cli import main
+if sys.argv[1:]:
+    sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_main_freezes_the_import_graph_at_exit_only(tmp_path):
+    cfg = _cfg_file(tmp_path)
+    ran = _run_python(["-c", _FREEZE_COUNT_AT_EXIT, "converge", "--config", cfg, "--out", str(tmp_path / "a.csv")])
+    imported = _run_python(["-c", _FREEZE_COUNT_AT_EXIT])
+    assert ran.returncode == imported.returncode == 0, ran.stderr + imported.stderr
+    assert int(ran.stdout.splitlines()[-1].split()[1]) > 0
+    # importing statinv.cli as a library leaves the interpreter's exit unchanged
+    assert imported.stdout.splitlines() == ["freeze_count 0"]
+
+
+def test_main_leaves_the_collector_alone_while_it_runs(tmp_path):
+    cfg = _cfg_file(tmp_path)
+    frozen, enabled, thresholds = gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 0
+    handlers = atexit._ncallbacks()
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 0
+    assert atexit._ncallbacks() == handlers  # CPython's handler count: the hook is registered once
+    assert (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()) == (frozen, enabled, thresholds)

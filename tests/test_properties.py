@@ -8,6 +8,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from statinv import (
@@ -193,6 +194,30 @@ def test_batched_regularize_svd_rows_equal_single_solves(name, filt, rows, per_r
         # a vector keeps the bits of its 1-D series and of the 1-D norm of its residual
         assert np.array_equal(alone.x_alpha, spectral_series(filt, op, y[i], a))
         assert alone.residual_norm == np.linalg.norm(apply(op, alone.x_alpha) - y[i])
+
+
+@PROPERTY
+@given(
+    st.sampled_from(sorted(SOLVES)),
+    st.sampled_from([tikhonov(), spectral_cutoff()]),
+    st.integers(0, 6),
+    st.floats(1e-8, 1.0),
+    st.integers(0, 2**31),
+)
+def test_solves_from_a_given_uty_equal_the_plain_solves(name, filt, rows, alpha, seed):
+    # rows = 0 draws one data vector (n,), otherwise a batch (rows, n)
+    op = SOLVES[name]
+    y = np.random.default_rng(seed).standard_normal((rows, op.n) if rows else op.n)
+    alphas = np.full(rows, alpha) if rows else alpha
+    c = op.uty(y)
+    plain, given_c = regularize_svd(filt, op, y, alphas), regularize_svd(filt, op, y, alphas, uty=c)
+    assert np.array_equal(given_c.x_alpha, plain.x_alpha)
+    assert np.array_equal(given_c.residual_norm, plain.residual_norm)
+    assert np.array_equal(given_c.alpha, plain.alpha)
+    column = alphas[:, None] if rows else alpha
+    assert np.array_equal(spectral_series(filt, op, y, column, uty=c), spectral_series(filt, op, y, column))
+    with pytest.raises(ValueError, match="U_r"):
+        spectral_series(filt, op, y, column, uty=c[..., :-1])
 
 
 # every fourth singular value is zero, so data have a part outside range(U_r)
