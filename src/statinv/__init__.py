@@ -81,6 +81,7 @@ from .noise_level import (
 )
 from .operators import (
     DiscreteOperator,
+    IntegrationOperator,
     SourceCondition,
     apply,
     build_holder_kernel_operator,

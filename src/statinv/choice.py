@@ -231,7 +231,7 @@ def _solve_rows(
             picks[k : k + step] = pick(c[k : k + step], rows[k : k + step])
         sol = regularize_svd(filt, op, rows, alphas[picks], uty=c)
         chosen[b : b + block], residual[b : b + block], x[b : b + block] = sol.alpha, sol.residual_norm, sol.x_alpha
-    return RegularizedSolution(alpha=chosen, x_alpha=x, residual_norm=residual, solver="svd_series")
+    return RegularizedSolution(alpha=chosen, x_alpha=x, residual_norm=residual)
 
 
 def _sorted_grid(alpha_grid: Sequence[float]) -> np.ndarray:

@@ -32,12 +32,12 @@ import atexit
 import functools
 import gc
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import ConfigError, DataUnavailableError, WhiteNoiseError
 from .harness import (
-    METHODS,
     ExperimentConfig,
     build_study,
     choose,
@@ -69,18 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config is not None:
-        cfg = parse_config(args.config)
-    else:
-        cfg = ExperimentConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.method is not None:
-        if args.method not in METHODS:
-            raise ConfigError(f"unknown method {args.method!r}; choose from {METHODS}")
-        cfg.method = args.method
-    if args.out is not None:
-        cfg.out = args.out
+    cfg = parse_config(args.config) if args.config is not None else ExperimentConfig()
+    overrides = {key: getattr(args, key) for key in ("seed", "method", "out") if getattr(args, key) is not None}
+    cfg = replace(cfg, **overrides)  # re-runs the config's checks on the overrides
     if not cfg.out:  # empty paths behave like no path at all
         cfg.out = None
     return cfg

@@ -149,8 +149,8 @@ def nested_level(n_requested: int, n_fine: int) -> int:
 def ladder_gap(n_fine: int) -> tuple[int, int] | None:
     """First pair of consecutive divisors of ``n_fine`` more than 2x apart, if any.
 
-    Without such a gap ``nested_level`` rounds every request up by less than
-    a factor 2, the step of the estimator's and the alpha grid's levels; a
+    Without such a gap ``nested_level`` rounds every request up to less than
+    twice itself, the step of the estimator's and the alpha grid's levels; a
     prime n (1 -> n) or n = 2p (2 -> p) has one.
     """
     small = [d for d in range(1, math.isqrt(n_fine) + 1) if n_fine % d == 0]
@@ -209,30 +209,19 @@ def project(obs_fine: Observation, n_coarse: int) -> Observation:
 
 
 def project_operator(op_fine: DiscreteOperator, n_coarse: int) -> DiscreteOperator:
-    """Galerkin matrix on the coarse grid, obtained exactly as E^T M E.
+    """Galerkin matrix on the coarse grid, E^T M E.
 
     Because the coarse basis lies in the fine span, compressing the fine
     Galerkin matrix reproduces the coarse Galerkin matrix of the same
-    operator up to rounding.  The fine operator's ``factor``, when it has
-    one, supplies the coarse singular system, and the compression is then
-    deferred until something reads the coarse ``matrix``; an operator
-    without a factor compresses at once for its dense SVD.
+    operator up to rounding.  The operator's backend builds the coarse level
+    (see :mod:`statinv.operators`).
     """
     n_fine = op_fine.n
     if n_fine % n_coarse != 0:
         raise ValueError(f"grids not nested: {n_coarse} does not divide {n_fine}")
     if n_coarse == n_fine:
         return op_fine
-    block = n_fine // n_coarse
-
-    def compressed():
-        m = op_fine.matrix.reshape(n_coarse, block, n_coarse, block).sum(axis=(1, 3))
-        m *= n_coarse / n_fine
-        return m
-
-    return DiscreteOperator(
-        Grid(n_coarse), compressed, holder_s=op_fine.holder_s, factor=op_fine.factor
-    )
+    return op_fine._project(n_coarse)
 
 
 class LevelData:

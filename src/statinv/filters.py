@@ -122,7 +122,6 @@ class RegularizedSolution:
     alpha: Union[float, np.ndarray]
     x_alpha: np.ndarray
     residual_norm: Union[float, np.ndarray]
-    solver: str
 
 
 def spectral_series(filt: Filter, op: DiscreteOperator, y: np.ndarray, alpha, *, uty=None) -> np.ndarray:
@@ -168,7 +167,6 @@ def regularize_svd(filt: Filter, op: DiscreteOperator, y: np.ndarray, alpha, *, 
         alpha=np.broadcast_to(alphas, residuals.shape).reshape(y.shape[:-1])[()],
         x_alpha=coeffs.reshape(y.shape),
         residual_norm=residuals.reshape(y.shape[:-1])[()],
-        solver="svd_series",
     )
 
 
@@ -191,7 +189,7 @@ def regularize_normal_equations(
     cho = scipy.linalg.cho_factor(gram, lower=True)
     coeffs = require_finite_coeffs(scipy.linalg.cho_solve(cho, b.T @ y))
     residual = float(np.linalg.norm(b @ coeffs - y))
-    return RegularizedSolution(alpha=float(alpha), x_alpha=coeffs, residual_norm=residual, solver="normal_equations")
+    return RegularizedSolution(alpha=float(alpha), x_alpha=coeffs, residual_norm=residual)
 
 
 def convergence_to_pseudoinverse(

@@ -31,7 +31,7 @@ from .grid import Grid, L2Vector
 from .noise import NoiseSpec, draw_noise, observe
 from .noise_level import EstimatorConfig
 from .operators import DiscreteOperator, apply, build_holder_kernel_operator, build_integration_operator
-from .signals import dirac_direction, make_signal
+from .signals import SIGNAL_KINDS, dirac_direction, make_signal
 
 __all__ = [
     "ExperimentConfig",
@@ -101,6 +101,12 @@ class ExperimentConfig:
                 f"operator.n = {self.operator_n} has no level between its divisors "
                 f"{gap[0]} and {gap[1]}; divisors must at most double"
             )
+        if self.signal_kind not in SIGNAL_KINDS:
+            raise ConfigError(f"unknown signal.kind {self.signal_kind!r}; choose from {SIGNAL_KINDS}")
+        if self.signal_kind == "source" and self.signal_nu <= 0:
+            raise ConfigError(f"signal.nu must be positive for a source signal, got {self.signal_nu}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.study not in ("mse", "veto"):

@@ -1,33 +1,44 @@
 """Discrete compact operators on L2[0, 1] in the indicator basis.
 
-Operators are represented by their Galerkin matrix M_ij = <T phi_j, phi_i>
-on an equidistant grid, together with a singular system computed once at
-construction and cached.  The integration operator takes its singular system
-from a closed form (DST-IV and DCT-IV bases, see :func:`integration_svd`), at
-the fine grid and at every nested level projected from it; every other
-operator (the Hoelder-kernel family, ``min_kernel`` among them) runs a dense
-LAPACK SVD.  All operators here map L2[0, 1] to itself and are
-Hilbert-Schmidt by construction (finite matrices), mirroring the compact
-operators whose regularization the rest of the package studies.
+An operator is its Galerkin matrix M_ij = <T phi_j, phi_i> on an equidistant
+grid together with a singular system computed once at construction.  All
+operators here map L2[0, 1] to itself and are Hilbert-Schmidt by
+construction (finite matrices), mirroring the compact operators whose
+regularization the rest of the package studies.  There is one interface and
+two backends:
+
+* :class:`DiscreteOperator`, the dense backend, takes the matrix and runs one
+  LAPACK SVD at construction.  The Hoelder-kernel family (``min_kernel``
+  among them) uses it.
+* :class:`IntegrationOperator`, the closed-form backend, is the Volterra
+  integration operator.  Its singular system is the closed form
+  :func:`integration_svd` (DST-IV and DCT-IV bases), and it needs no n x n
+  array at all.
+
+The backends differ only in four private hooks: ``_spectrum`` (the singular
+values, at construction), ``_uvt`` (the dense factors u and vt), ``_apply``
+(T along the last axis, behind :func:`apply`) and ``_project`` (the Galerkin
+compression E^T M E to a coarser nested level, behind
+``discretization.project_operator``).  The dense backend compresses its
+matrix and runs one SVD of the result.  Integration is closed under nested
+projection: its coarse level is the integration operator on the coarse grid,
+whose Galerkin matrix is bit-equal to the compressed fine one.
 
 Other modules read the singular system only through
 :meth:`DiscreteOperator.uty`, :meth:`DiscreteOperator.vtx` and
 :meth:`DiscreteOperator.v`, together with ``s`` and ``rank``, and apply the
 operator through :func:`apply`; how the factors are stored is this module's
 business.  The dense ``matrix`` is read elsewhere only by
-``discretization.project_operator`` (Galerkin compression to a coarser level)
-and by ``filters.regularize_normal_equations`` (the dense reference solve).
-An operator may receive its matrix as a callable and build it on first
-read; integration operators do, at every level.
+``filters.regularize_normal_equations`` (the dense reference solve).
 
-The integration operator needs no n x n array at all.  Its ``s`` is closed
-form, :func:`apply` is a cumulative sum, and at an even level of at least
-``_TRANSFORM_MIN_N`` cells ``uty``, ``vtx`` and ``v`` are a DST-IV, a DCT-IV
-and a DCT-IV of the zero-padded coefficients, each one n/2-point complex FFT
-(O(n log n) per row instead of the n^2 product).  Its dense factors ``u`` and
-``vt`` and its ``matrix`` are built only when read.  Smaller and odd levels
-keep the dense closed-form products: below the constant they are no slower
-at any row count, and the half-length FFT needs an even n.
+The integration operator's ``s`` is closed form, :func:`apply` is a
+cumulative sum, and at an even level of at least ``_TRANSFORM_MIN_N`` cells
+``uty``, ``vtx`` and ``v`` are a DST-IV, a DCT-IV and a DCT-IV of the
+zero-padded coefficients, each one n/2-point complex FFT (O(n log n) per row
+instead of the n^2 product).  Its dense factors ``u`` and ``vt`` and its
+``matrix`` are built only when read.  Smaller and odd levels keep the dense
+closed-form products: below the constant they are no slower at any row
+count, and the half-length FFT needs an even n.
 The transforms use ``numpy.fft`` rather than ``scipy.fft``, whose import
 alone takes a few tenths of a second per process, and apply their twiddle
 factors as separate real products and sums: complex twiddle arrays can
@@ -47,6 +58,7 @@ from .grid import Grid, L2Vector
 __all__ = [
     "TOL_SVD",
     "DiscreteOperator",
+    "IntegrationOperator",
     "SourceCondition",
     "integration_svd",
     "build_integration_operator",
@@ -74,20 +86,15 @@ _TRANSFORM_MIN_N = 256
 
 
 class DiscreteOperator:
-    """An n x n Galerkin matrix together with its cached singular system.
+    """The dense backend: an n x n Galerkin matrix and its LAPACK singular system.
 
-    The singular system comes from ``factor(n)`` when a factor is given and
-    from a dense ``np.linalg.svd`` of ``matrix`` otherwise.  Other modules
-    read it through ``uty`` (U_r^T y), ``vtx`` (V_r^T x) and ``v`` (V_k w),
-    never through ``u`` and ``vt``; see the module docstring for the two
-    remaining readers of ``matrix``.
-
-    With ``factor=integration_svd`` the operator is matrix-free: ``s`` is the
-    closed form, ``u``, ``vt`` and ``matrix`` are built on first read, and at
-    an even n >= ``_TRANSFORM_MIN_N`` the three products run as DST-IV/DCT-IV
-    transforms through ``numpy.fft`` (the module docstring says why there and
-    why so).  Every other operator, and integration at smaller or odd n,
-    forms the products with its dense factors.
+    The singular system comes from one ``np.linalg.svd`` of ``matrix`` at
+    construction.  Other modules read it through ``uty`` (U_r^T y), ``vtx``
+    (V_r^T x) and ``v`` (V_k w), never through ``u`` and ``vt``; see the
+    module docstring for the one remaining reader of ``matrix``.  A backend
+    subclass overrides the four hooks ``_spectrum``, ``_uvt``, ``_apply`` and
+    ``_project``; the products run as transforms when ``_spectrum`` leaves
+    twiddle factors, and with the dense factors otherwise.
 
     Parameters
     ----------
@@ -95,15 +102,8 @@ class DiscreteOperator:
         Taken over without a copy when it is a float array that owns its
         data, and then made read-only in place; views and foreign buffers
         are copied.  A callable defers the matrix: it is called on the first
-        read of ``matrix``, whose result is taken over by the same rule.  An
-        operator without a ``factor`` reads it at once for its SVD.
-    factor : callable n -> (u, s, vt), optional
-        Closed-form singular system of ``matrix``.  It is kept on the operator
-        and handed on by :func:`discretization.project_operator` to every
-        coarser level, so it is valid only for an operator family closed
-        under nested projection: ``factor(n_c)`` must factor ``E^T M E`` for
-        every level ``n_c`` the fine matrix is projected to, as
-        :func:`integration_svd` does for the integration operator.
+        read of ``matrix``, whose result is taken over by the same rule.  The
+        dense backend reads it at once for its SVD.
 
     Attributes
     ----------
@@ -112,42 +112,22 @@ class DiscreteOperator:
         Action of the operator in the indicator basis, built on first read
         when it was given as a callable.
     u, s, vt : ndarray
-        Cached SVD, ``matrix = u @ diag(s) @ vt`` with ``s`` nonincreasing;
-        ``u`` and ``vt`` of an integration operator are built on first read.
+        Cached SVD, ``matrix = u @ diag(s) @ vt`` with ``s`` nonincreasing.
     hs_norm : float
         Hilbert-Schmidt norm, sqrt(sum s_j^2).
     rank : int
         Number of singular values above ``TOL_SVD * s[0]``.
     holder_s : float or None
         Caller-asserted Hoelder exponent of t -> k(t, u), when known.
-    factor : callable or None
-        The ``factor`` the operator was built with.
     """
 
-    __slots__ = (
-        "grid", "_matrix", "_factors", "s", "hs_norm", "rank", "holder_s", "factor", "_twiddles",
-    )
+    __slots__ = ("grid", "_matrix", "_factors", "_twiddles", "s", "hs_norm", "rank", "holder_s")
 
-    def __init__(
-        self,
-        grid: Grid,
-        matrix,
-        holder_s: Optional[float] = None,
-        factor: Optional[Callable[[int], Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None,
-    ):
-        n = grid.n_cells
+    def __init__(self, grid: Grid, matrix, holder_s: Optional[float] = None):
         self.grid = grid
-        self._matrix = matrix if callable(matrix) else _frozen(matrix, n)
-        self.factor = factor
-        if factor is integration_svd:
-            s = _integration_s(n)
-            self._factors = None  # (u, vt), built on first read
-        else:
-            u, s, vt = np.linalg.svd(self.matrix) if factor is None else factor(n)
-            self._factors = (u, vt)
-        transform = factor is integration_svd and n % 2 == 0 and n >= _TRANSFORM_MIN_N
-        self._twiddles = _twiddles(n) if transform else None
-        self.s = s
+        self._matrix = matrix if callable(matrix) else _frozen(matrix, grid.n_cells)
+        self._factors = self._twiddles = None  # (u, vt) and the transforms' twiddles
+        self.s = s = self._spectrum()
         self.hs_norm = float(np.sqrt(np.sum(s**2)))
         if s[0] > 0.0:
             self.rank = int(np.count_nonzero(s > TOL_SVD * s[0]))
@@ -155,17 +135,31 @@ class DiscreteOperator:
             self.rank = 0
         self.holder_s = holder_s
 
+    def _spectrum(self) -> np.ndarray:
+        """The singular values; the dense backend keeps its factors."""
+        u, s, vt = np.linalg.svd(self.matrix)
+        self._factors = (u, vt)
+        return s
+
+    def _uvt(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self._factors
+
+    def _apply(self, c: np.ndarray) -> np.ndarray:
+        """T along the last axis of ``c``, one matrix-vector product per row."""
+        return (self.matrix @ c[..., None])[..., 0]
+
+    def _project(self, n_coarse: int) -> "DiscreteOperator":
+        """The operator at the nested level ``n_coarse``: E^T M E and one SVD."""
+        block = self.n // n_coarse
+        m = self.matrix.reshape(n_coarse, block, n_coarse, block).sum(axis=(1, 3))
+        m *= n_coarse / self.n
+        return DiscreteOperator(Grid(n_coarse), m, holder_s=self.holder_s)
+
     @property
     def matrix(self) -> np.ndarray:
         if callable(self._matrix):
             self._matrix = _frozen(self._matrix(), self.n)
         return self._matrix
-
-    def _uvt(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._factors is None:
-            u, _, vt = self.factor(self.n)
-            self._factors = (u, vt)
-        return self._factors
 
     @property
     def u(self) -> np.ndarray:
@@ -208,7 +202,51 @@ class DiscreteOperator:
         return float(self.s[0])
 
     def __repr__(self):
-        return f"DiscreteOperator(n={self.n}, s1={self.norm:.6g}, rank={self.rank})"
+        return f"{type(self).__name__}(n={self.n}, s1={self.norm:.6g}, rank={self.rank})"
+
+
+class IntegrationOperator(DiscreteOperator):
+    """The closed-form backend: the Volterra integration operator (Tx)(t) = int_0^t x.
+
+    The Galerkin matrix has the exact entries M_jj = 1/(2n), M_ij = 1/n for
+    i > j and zero above the diagonal; it is built only when read.  ``s`` is
+    the closed form of :func:`integration_svd`, whose ``u`` and ``vt`` are
+    built on first read, and at an even n >= ``_TRANSFORM_MIN_N`` the three
+    products run as DST-IV/DCT-IV transforms through ``numpy.fft`` (the
+    module docstring says why there and why so).  :func:`apply` is a
+    cumulative sum, and a nested projection is the integration operator on
+    the coarse grid.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, grid: Grid):
+        n = grid.n_cells
+
+        def galerkin():
+            m = np.tril(np.full((n, n), 1.0 / n), k=-1)
+            np.fill_diagonal(m, 0.5 / n)
+            return m
+
+        super().__init__(grid, galerkin, holder_s=1.0)
+
+    def _spectrum(self) -> np.ndarray:
+        if self.n % 2 == 0 and self.n >= _TRANSFORM_MIN_N:
+            self._twiddles = _twiddles(self.n)
+        return _integration_s(self.n)
+
+    def _uvt(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._factors is None:
+            u, _, vt = integration_svd(self.n)
+            self._factors = (u, vt)
+        return self._factors
+
+    def _apply(self, c: np.ndarray) -> np.ndarray:
+        """(Tc)_i = (sum_{j<i} c_j + c_i / 2) / n, a cumulative sum."""
+        return (np.cumsum(c, axis=-1) - c / 2) / self.n
+
+    def _project(self, n_coarse: int) -> "IntegrationOperator":
+        return IntegrationOperator(Grid(n_coarse))
 
 
 def _frozen(matrix, n: int) -> np.ndarray:
@@ -354,23 +392,15 @@ def _integration_s(n: int) -> np.ndarray:
     return 1.0 / (2 * n * np.tan(np.arange(1, 2 * n, 2) * (np.pi / (4 * n))))
 
 
-def build_integration_operator(grid: Grid) -> DiscreteOperator:
-    """Galerkin matrix of the Volterra integration operator (Tx)(t) = int_0^t x.
+def build_integration_operator(grid: Grid) -> IntegrationOperator:
+    """The Volterra integration operator (Tx)(t) = int_0^t x on ``grid``.
 
-    The entries are exact integrals of piecewise-constant functions:
-    M_jj = 1/(2n), M_ij = 1/n for i > j, zero above the diagonal.  The
-    matrix is built only when read.  The singular system is the closed form
-    :func:`integration_svd`, which also factors every nested projection of
-    the matrix.
+    See :class:`IntegrationOperator`: the Galerkin matrix is exact and built
+    only when read, and the singular system is the closed form
+    :func:`integration_svd` at this level and at every nested level projected
+    from it.
     """
-    n = grid.n_cells
-
-    def galerkin():
-        m = np.tril(np.full((n, n), 1.0 / n), k=-1)
-        np.fill_diagonal(m, 0.5 / n)
-        return m
-
-    return DiscreteOperator(grid, galerkin, holder_s=1.0, factor=integration_svd)
+    return IntegrationOperator(grid)
 
 
 def build_holder_kernel_operator(
@@ -414,9 +444,9 @@ def apply(op: DiscreteOperator, x):
 
     An ``L2Vector`` gives an ``L2Vector``; an array of shape (..., n) gives
     T applied along its last axis, with every row bit-equal to that row
-    applied alone.  For the integration operator, (Tx)_i = (sum_{j<i} x_j +
-    x_i / 2) / n is a cumulative sum and reads no matrix; any other operator
-    runs one matrix-vector product per row.
+    applied alone.  The operator's backend applies it: a cumulative sum for
+    the integration operator, one matrix-vector product per row for a dense
+    one.
     """
     vector = isinstance(x, L2Vector)
     if vector and x.grid != op.grid:
@@ -424,10 +454,7 @@ def apply(op: DiscreteOperator, x):
     c = x.coeffs if vector else np.asarray(x, dtype=float)
     if c.shape[-1:] != (op.n,):
         raise ValueError(f"coefficients have shape {c.shape}, expected (..., {op.n})")
-    if op.factor is integration_svd:
-        y = (np.cumsum(c, axis=-1) - c / 2) / op.n
-    else:
-        y = (op.matrix @ c[..., None])[..., 0]
+    y = op._apply(c)
     return L2Vector(op.grid, y) if vector else y
 
 

@@ -45,6 +45,22 @@ def test_unknown_method_exits_2(tmp_path):
     assert main(["choose", "--config", cfg, "--method", "lcurve"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags, extra",
+    [
+        (["--seed", "-1"], ""),
+        ([], "seed = -3\n"),
+        ([], "signal.kind = foo\n"),
+        ([], "signal.kind = source\nsignal.nu = -1\n"),
+    ],
+    ids=["seed_flag", "seed_key", "signal_kind", "source_nu"],
+)
+def test_invalid_config_exits_2_without_a_traceback(tmp_path, capsys, flags, extra):
+    cfg = _cfg_file(tmp_path, extra=extra)
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "x.csv"), *flags]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+
+
 def test_simulate_is_deterministic(tmp_path):
     cfg = _cfg_file(tmp_path)
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -10,6 +10,7 @@ import statinv
 from statinv import (
     DiscreteOperator,
     Grid,
+    IntegrationOperator,
     L2Vector,
     apply,
     build_holder_kernel_operator,
@@ -21,7 +22,7 @@ from statinv import (
     spectral_series,
     tikhonov,
 )
-from statinv.operators import TOL_SVD, integration_svd
+from statinv.operators import TOL_SVD
 
 
 def test_single_cell_matrix_is_one_half():
@@ -210,6 +211,14 @@ def test_rank_truncation_threshold():
     assert TOL_SVD == 1e-10
 
 
+def _compressed(m, n_coarse):
+    """E^T M E: the fine Galerkin matrix ``m`` compressed to the nested level n_coarse."""
+    block = m.shape[0] // n_coarse
+    c = m.reshape(n_coarse, block, n_coarse, block).sum(axis=(1, 3))
+    c *= n_coarse / m.shape[0]
+    return c
+
+
 def _check_against_lapack(op):
     # oracle: the dense LAPACK SVD of the operator's own matrix
     s_ref = np.linalg.svd(op.matrix, compute_uv=False)
@@ -224,14 +233,17 @@ def _check_against_lapack(op):
 @pytest.mark.parametrize("n", [2, 3, 6, 10, 64, 96, 256, 1024])
 def test_closed_form_svd_matches_lapack(n):
     op = build_integration_operator(Grid(n))
-    assert op.factor is integration_svd
+    assert isinstance(op, IntegrationOperator)
     _check_against_lapack(op)
 
 
 @pytest.mark.parametrize("n_fine, n_coarse", [(1018, 509), (96, 12), (2048, 1024)])
 def test_projected_closed_form_matches_lapack(n_fine, n_coarse):
-    op = project_operator(build_integration_operator(Grid(n_fine)), n_coarse)
-    assert op.factor is integration_svd
+    fine = build_integration_operator(Grid(n_fine))
+    op = project_operator(fine, n_coarse)
+    assert isinstance(op, IntegrationOperator)
+    # the coarse closed form is the projected matrix, bit for bit
+    assert np.array_equal(op.matrix, _compressed(fine.matrix, n_coarse))
     _check_against_lapack(op)
     # the closed-form series solves the projected matrix's normal equations
     y = np.random.default_rng(n_coarse).standard_normal(n_coarse)
@@ -254,7 +266,7 @@ def test_only_operators_without_closed_form_run_lapack_svd(monkeypatch):
         project_operator(fine, level)
     assert calls == []
     op = build_holder_kernel_operator(Grid(32), np.minimum, holder_s=1.0, volterra=False)
-    assert op.factor is None
+    assert type(op) is DiscreteOperator
     assert calls == [(32, 32)]
 
 
@@ -286,25 +298,21 @@ def _counted_matrix(m, reads):
 
 
 def test_factored_projection_defers_its_matrix_until_read():
-    m = build_integration_operator(Grid(96)).matrix
-    reads = []
-    fine = DiscreteOperator(Grid(96), _counted_matrix(m, reads), holder_s=1.0, factor=integration_svd)
-    assert reads == []  # the closed-form factor needs no matrix
+    fine = build_integration_operator(Grid(96))
     coarse = project_operator(fine, 12)
-    assert reads == [] and coarse.rank == 12  # no compression of the fine matrix yet
-    eager = m.reshape(12, 8, 12, 8).sum(axis=(1, 3))
-    eager *= 12 / 96
-    assert np.array_equal(coarse.matrix, eager)
-    assert reads == [(96, 96)]
-    assert coarse.matrix is coarse.matrix  # built once, then kept
-    assert coarse.matrix.flags.owndata and not coarse.matrix.flags.writeable
-    assert reads == [(96, 96)]
+    # the closed form needs no matrix: projecting builds neither the fine nor the coarse one
+    assert callable(fine._matrix) and callable(coarse._matrix) and coarse.rank == 12
+    first = coarse.matrix
+    assert callable(fine._matrix) and not callable(coarse._matrix)  # built on its first read
+    assert coarse.matrix is first  # then kept
+    assert first.flags.owndata and not first.flags.writeable
+    assert np.array_equal(first, _compressed(fine.matrix, 12))
 
 
 def test_deferred_matrix_keeps_the_shape_check():
-    op = DiscreteOperator(Grid(4), lambda: np.eye(3), factor=integration_svd)
+    # a dense operator reads a deferred matrix at once, for its SVD
     with pytest.raises(ValueError, match="expected"):
-        op.matrix
+        DiscreteOperator(Grid(4), lambda: np.eye(3))
 
 
 def test_factorless_projection_builds_its_matrix_for_one_lapack_svd(monkeypatch):
@@ -360,10 +368,10 @@ def test_v_inverts_vtx_and_checks_the_rank(op64):
         op64.v(np.ones(op64.rank + 1))
 
 
-# Functions outside operators.py that may read the dense Galerkin matrix:
-# Galerkin compression to a coarser level, and the dense reference solve.
+# Functions outside operators.py that may read the dense Galerkin matrix: the
+# dense reference solve.  Galerkin compression to a coarser level is the
+# operator's own business.
 MATRIX_READERS = {
-    ("discretization.py", "project_operator"),
     ("filters.py", "regularize_normal_equations"),
 }
 
