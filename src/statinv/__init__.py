@@ -17,6 +17,7 @@ from .choice import (
     OracleResult,
     data_driven_choose,
     discrepancy_principle,
+    geometric_grid,
     lepskii_choose,
     oracle_choice,
 )

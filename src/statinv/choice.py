@@ -8,8 +8,12 @@ j = 0..m with m = ceil(2 log_q(||T||^2 / delta)), and accepts index j when
 where kappa = sqrt(m) and Psi(j) = C_psi sqrt(rank(Q_j) / (4 alpha_j)) bounds
 the standard deviation of the noise propagated through R_{alpha_j} Q_j.  The
 chosen index j* is the maximal accepted one; delta may be the true noise
-level or the estimate delta_hat, which is what makes the combined pipeline
-purely data driven.
+level (``data.fine.delta``, the default) or the estimate delta_hat, which
+is what makes the combined pipeline purely data driven.  ``geometric_grid``
+is the only code that lays the grid out: the balancing rule calls it at its
+delta inputs, and the harness reads the oracle's and the discrepancy
+principle's grid from it at the true delta.  ``LepskiiConfig`` holds the
+rule's constants q, C_psi and max_alpha = ||T||^2, never a delta.
 
 Candidates are Tikhonov solutions at level n(alpha_j, delta), computed as
 the spectral series V_r F_alpha(s^2) s U_r^T y of the level operator through
@@ -31,6 +35,7 @@ and one batched solve at the chosen alphas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -46,6 +51,7 @@ from .operators import DiscreteOperator, SourceCondition
 
 __all__ = [
     "LepskiiConfig",
+    "geometric_grid",
     "LepskiiResult",
     "OracleResult",
     "DiscrepancyResult",
@@ -59,18 +65,12 @@ __all__ = [
 
 @dataclass
 class LepskiiConfig:
-    """Geometric alpha grid for the balancing principle.
-
-    ``delta_input`` is the noise level fed to the rule -- the true delta for
-    the known-level variant, the estimate delta_hat for the data-driven one.
-    The grid starts at alpha_0 = delta_input^2 and is capped so that
-    alpha_m <= q * max_alpha.
-    """
+    """Constants of the balancing principle: grid ratio q, Psi factor C_psi
+    and the cap max_alpha of the grid (see ``geometric_grid``)."""
 
     q: float
     C_psi: float
     max_alpha: float
-    delta_input: float
 
     def __post_init__(self):
         require_finite(self)
@@ -80,34 +80,44 @@ class LepskiiConfig:
             raise ValueError("C_psi must be positive")
         if self.max_alpha <= 0:
             raise ValueError("max_alpha must be positive")
-        if self.delta_input <= 0:
-            raise ValueError("delta_input must be positive")
-
-    @property
-    def alpha0(self) -> float:
-        return self.delta_input**2
-
-    @property
-    def m(self) -> int:
-        return _grid_size(self.q, self.max_alpha, self.delta_input)
-
-    @property
-    def kappa(self) -> float:
-        return float(np.sqrt(self.m))
-
-    @property
-    def alphas(self) -> np.ndarray:
-        return self.alpha0 * self.q ** np.arange(self.m + 1)
 
 
-def _grid_size(q: float, max_alpha: float, delta: float) -> int:
-    """The last index m of the grid alpha_j = delta^2 q^j of ``LepskiiConfig``."""
-    m = int(np.ceil(2.0 * np.log(max_alpha / delta) / np.log(q)))
-    m = max(m, 1)
-    # keep the grid within the loop guard alpha <= ||T||^2 (up to one q step)
-    while m > 1 and delta**2 * q**m > q * max_alpha:
-        m -= 1
-    return m
+_TINY = np.finfo(float).tiny  # the least positive normal double
+
+
+def geometric_grid(q: float, max_alpha: float, deltas) -> Tuple[np.ndarray, np.ndarray]:
+    """The grids alpha_j = delta^2 q^j, j = 0..m, of the balancing rule, one per delta.
+
+    m = max(1, ceil(2 log_q(max_alpha / delta))), lowered while
+    alpha_m > q * max_alpha.  ``deltas`` is a scalar or a (D,) array;
+    returns m (D,) and the (D, W) table of the grids, W = max(m) + 1, nan
+    past a row's alpha_m.  Each row is alpha_0 = delta^2 times the powers
+    q^j of an arange of its own length, so it is bit-equal to the grid of
+    its delta alone.  Raises ``ValueError`` naming delta when delta^2 is not
+    a positive normal double or the grid leaves the float range.
+    """
+    alpha0, m = [], []
+    for delta in np.atleast_1d(np.asarray(deltas, dtype=float)).tolist():
+        try:
+            a0 = delta**2  # raises OverflowError past the float range
+            if not (delta > 0 and _TINY <= a0 < math.inf):
+                raise OverflowError
+            size = max(int(np.ceil(2.0 * np.log(max_alpha / delta) / np.log(q))), 1)
+            # keep the grid within the loop guard alpha <= ||T||^2 (up to one q step)
+            while size > 1 and a0 * q**size > q * max_alpha:
+                size -= 1
+            if not math.isfinite(a0 * q**size):
+                raise OverflowError
+        except OverflowError:
+            raise ValueError(f"delta = {delta!r} has no alpha grid delta^2 q^j in the normal doubles") from None
+        alpha0.append(a0)
+        m.append(size)
+    m, alpha0 = np.array(m), np.array(alpha0)
+    alphas = np.full((m.size, int(m.max()) + 1), np.nan)
+    for size in set((m + 1).tolist()):
+        same = m + 1 == size
+        alphas[same, :size] = alpha0[same, None] * q ** np.arange(size)
+    return m, alphas
 
 
 # Entries of a block of fine-grid rows that a rule holds at once: the
@@ -372,21 +382,17 @@ class _Ladders:
     def build(
         cls, cfg: LepskiiConfig, deltas: np.ndarray, data: LevelData, sched: LevelSchedule, source
     ) -> "_Ladders":
-        """The ladders of ``cfg`` at each delta input, each entry bit-equal to its config alone.
+        """The ladders of ``cfg`` at the (D,) ``deltas``, each entry bit-equal to its delta alone.
 
-        Every level is ``data.level(n_of(alpha_j, delta, sched))``, and each
-        capped candidate logs its ``n_max`` warning.  m and alpha_0 = delta^2
-        use the scalar arithmetic of ``LepskiiConfig``, and each row of alphas
-        is alpha_0 times the powers q^j of an arange of its own length.
+        The grids are ``geometric_grid``'s.  Every level is
+        ``data.level(n_of(alpha_j, delta, sched))``, and each capped
+        candidate logs its ``n_max`` warning.  The source-condition
+        diagnostic reads one table Phi = radius * phi(alpha_j); phi is called
+        once per candidate on its np.float64 alpha, since a user's phi need
+        not take arrays and an array power may round differently.
         """
-        delta_list = deltas.tolist()
-        m = np.array([_grid_size(cfg.q, cfg.max_alpha, d) for d in delta_list])
-        alpha0 = np.array([d**2 for d in delta_list])
+        m, alphas = geometric_grid(cfg.q, cfg.max_alpha, deltas)
         kappa = np.sqrt(m)
-        alphas = np.full((m.size, int(m.max()) + 1), np.nan)
-        for size in set((m + 1).tolist()):
-            same = m + 1 == size
-            alphas[same, :size] = alpha0[same, None] * cfg.q ** np.arange(size)
         valid = ~np.isnan(alphas)
         requested = n_of(alphas, deltas[:, None], sched)[valid]
         # each distinct request is served once; np.unique would import numpy.ma
@@ -397,20 +403,21 @@ class _Ladders:
         psi = cfg.C_psi * np.sqrt(levels / (4.0 * alphas))
         rising = np.any(np.diff(psi, axis=1) >= 0, axis=1).tolist()
         psi_flags = [["psi_not_decreasing"] if bad else [] for bad in rising]
-        source_flags = [[] for _ in delta_list]
+        source_flags = [[] for _ in range(m.size)]
         alpha_check = j_check = None
         if source is not None:
-            j_check = np.zeros(m.size, dtype=int)
-            for i, delta in enumerate(delta_list):
-                row_alphas, row_psi = alphas[i, : m[i] + 1], psi[i, : m[i] + 1]
-                phi_vals = np.array([source.radius * source.phi(a) for a in row_alphas])
-                if np.any(np.diff(phi_vals) <= 0):
-                    source_flags[i].append("phi_not_increasing")
-                feasible = np.nonzero(phi_vals <= delta * row_psi)[0]
-                j_check[i] = int(feasible.max()) if feasible.size else 0
-                if phi_vals[0] > delta * row_psi[0]:
-                    source_flags[i].append("side_condition_violated")
+            phi = np.full(alphas.shape, np.nan)
+            phi[valid] = [source.radius * source.phi(a) for a in alphas[valid]]
+            # comparisons with the nan padding are false
+            feasible = phi <= deltas[:, None] * psi
+            j_check = np.where(feasible.any(axis=1), alphas.shape[1] - 1 - np.argmax(feasible[:, ::-1], axis=1), 0)
             alpha_check = alphas[np.arange(m.size), j_check]
+            not_increasing = np.any(np.diff(phi, axis=1) <= 0, axis=1).tolist()
+            violated = (phi[:, 0] > deltas * psi[:, 0]).tolist()
+            source_flags = [
+                ["phi_not_increasing"] * bad + ["side_condition_violated"] * off
+                for bad, off in zip(not_increasing, violated)
+            ]
         band = (4.0 * kappa * deltas)[:, None] * psi
         return cls(m, kappa, alphas, levels, psi, band, psi_flags, source_flags, alpha_check, j_check)
 
@@ -422,16 +429,17 @@ def lepskii_choose(
     sched: LevelSchedule,
     source: Optional[SourceCondition] = None,
     cache: Optional[LevelSolverCache] = None,
-    delta_inputs: Optional[np.ndarray] = None,
+    delta: Optional[float | np.ndarray] = None,
 ) -> LepskiiResult:
     """Balancing choice over the geometric grid with per-candidate levels, for a batch.
 
-    ``data`` holds R data rows.  Every row balances with ``cfg``, at its
-    ``delta_input`` or, when ``delta_inputs`` (R,) is given, row i at
-    ``delta_inputs[i]``; the candidates of each delta input are laid out
-    once, in one table for all of them (``_Ladders``).  Candidate j of a row
-    reads its data at level ``n(alpha_j, delta)``, rounded up to a nested
-    level by ``data``.  All
+    ``data`` holds R data rows.  Every row balances with ``cfg`` at the
+    noise level ``delta``: the true one, ``data.fine.delta``, when it is
+    omitted, one value for every row, or row i at ``delta[i]`` of an (R,)
+    array (the data-driven pipeline's estimates).  The candidates of each
+    delta input are laid out once, in one table for all of them
+    (``_Ladders``).  Candidate j of a row reads its data at level
+    ``n(alpha_j, delta)``, rounded up to a nested level by ``data``.  All
     candidates of one level are computed in one product from one U^T y per
     row, and the pairwise distances are taken after isometric embedding into
     the grid of L cells, L the lcm of the candidate levels.  When a source
@@ -444,17 +452,14 @@ def lepskii_choose(
     elif cache.op_fine is not op:
         raise ValueError("cache was built for a different operator")
     rows = data.rows
-    if delta_inputs is None:
-        ladders = _Ladders.build(cfg, np.array([cfg.delta_input]), data, sched, source)
-        of_row = np.zeros(rows, dtype=int)
-    else:
-        deltas = np.asarray(delta_inputs, dtype=float)
-        if deltas.shape != (rows,):
-            raise ValueError(f"{deltas.size} delta inputs for {rows} data rows")
-        if not np.all(np.isfinite(deltas) & (deltas > 0)):
-            raise ValueError("delta inputs must be positive and finite")
-        ladders = _Ladders.build(cfg, deltas, data, sched, source)
-        of_row = np.arange(rows)
+    deltas = np.asarray(data.fine.delta if delta is None else delta, dtype=float)
+    if deltas.ndim and deltas.shape != (rows,):
+        raise ValueError(f"{deltas.size} delta inputs for {rows} data rows")
+    if not np.all(np.isfinite(deltas) & (deltas > 0)):
+        raise ValueError("delta inputs must be positive and finite")
+    ladders = _Ladders.build(cfg, deltas.reshape(-1), data, sched, source)
+    # one ladder for every row, or one per row
+    of_row = np.arange(rows) if deltas.ndim else np.zeros(rows, dtype=int)
     m = ladders.m[of_row]
     width = int(m.max()) + 1
     alphas, psi, band, levels = (t[of_row] for t in (ladders.alphas, ladders.psi, ladders.band, ladders.levels))
@@ -525,7 +530,7 @@ def data_driven_choose(
     op: DiscreteOperator,
     raw_data: LevelData,
     est_cfg: EstimatorConfig,
-    lep_cfg_template: LepskiiConfig,
+    lep_cfg: LepskiiConfig,
     sched: LevelSchedule,
     source: Optional[SourceCondition] = None,
     cache: Optional[LevelSolverCache] = None,
@@ -544,7 +549,7 @@ def data_driven_choose(
     delta_hat = np.array([e.delta_hat for e in estimates])
     # a zero estimate (constant data) is floored so that the alpha grid exists
     deltas = np.where(delta_hat > 0.0, delta_hat, 1e-12)
-    result = lepskii_choose(op, raw_data, lep_cfg_template, sched, source=source, cache=cache, delta_inputs=deltas)
+    result = lepskii_choose(op, raw_data, lep_cfg, sched, source=source, cache=cache, delta=deltas)
     for flags, estimate in zip(result.row_flags, estimates):
         if not estimate.converged:
             flags.append("estimator_not_converged")

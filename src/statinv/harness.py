@@ -21,6 +21,7 @@ from .choice import (
     LevelSolverCache,
     data_driven_choose,
     discrepancy_principle,
+    geometric_grid,
     lepskii_choose,
     oracle_choice,
 )
@@ -386,15 +387,18 @@ def choose(study: Study, method: str, data: LevelData) -> Choice:
     and for the known-delta ``best_error``.
     """
     cfg, op, x_true, fine = study.cfg, study.op, study.x_true, data.fine
-    template = LepskiiConfig(
-        q=cfg.lepskii_q, C_psi=cfg.lepskii_c_psi, max_alpha=op.norm**2, delta_input=fine.delta
-    )
+    if method in ("oracle", "discrepancy", "lepskii_known_delta"):
+        # the rules that read the grid at the true delta: a delta without one is a config error
+        try:
+            _, grid = geometric_grid(cfg.lepskii_q, op.norm**2, fine.delta)
+        except ValueError as exc:
+            raise ConfigError(f"delta_list: {exc}") from exc
     filt = tikhonov()
     if method == "oracle":
-        picks = oracle_choice(op, x_true, fine, filt, template.alphas)
+        picks = oracle_choice(op, x_true, fine, filt, grid[0])
         return Choice(alpha=picks.alpha, x=picks.x, flags=[[] for _ in range(fine.rows)])
     if method == "discrepancy":
-        dp = discrepancy_principle(op, fine, filt, cfg.tau_dp, template.alphas)
+        dp = discrepancy_principle(op, fine, filt, cfg.tau_dp, grid[0])
         return Choice(
             alpha=dp.alpha,
             x=dp.x,
@@ -402,12 +406,13 @@ def choose(study: Study, method: str, data: LevelData) -> Choice:
             residual=dp.residual,
             satisfied=dp.satisfied,
         )
+    lep_cfg = LepskiiConfig(q=cfg.lepskii_q, C_psi=cfg.lepskii_c_psi, max_alpha=op.norm**2)
     delta_hat = best_error = None
     if method == "lepskii_known_delta":
-        lep = lepskii_choose(op, data, template, study.sched, cache=study.cache)
+        lep = lepskii_choose(op, data, lep_cfg, study.sched, cache=study.cache)
         best_error = lep.errors(x_true).min(axis=1)  # the veto study's oracle column
     elif method == "lepskii_estimated_delta":
-        estimates, lep = data_driven_choose(op, data, cfg.estimator, template, study.sched, cache=study.cache)
+        estimates, lep = data_driven_choose(op, data, cfg.estimator, lep_cfg, study.sched, cache=study.cache)
         delta_hat = np.array([e.delta_hat for e in estimates])
     else:
         raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -26,6 +27,7 @@ from statinv import (
     data_driven_choose,
     discrepancy_principle,
     embed_vector,
+    geometric_grid,
     lepskii_choose,
     n_of,
     observe,
@@ -60,26 +62,45 @@ def _noiseless_obs(op, x, delta):
 
 
 def test_grid_arithmetic_example():
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=1.0, delta_input=0.01)
-    assert cfg.m == 14  # ceil(2 log2(100)) = ceil(13.29)
-    assert cfg.alpha0 == pytest.approx(1e-4, rel=0, abs=0)
-    ratios = cfg.alphas[1:] / cfg.alphas[:-1]
+    (m,), (alphas,) = geometric_grid(2.0, 1.0, 0.01)
+    assert m == 14  # ceil(2 log2(100)) = ceil(13.29)
+    assert alphas.shape == (15,)
+    assert alphas[0] == pytest.approx(1e-4, rel=0, abs=0)
+    ratios = alphas[1:] / alphas[:-1]
     assert np.allclose(ratios, 2.0, rtol=1e-14)
-    assert cfg.kappa == pytest.approx(np.sqrt(14))
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        LepskiiConfig(q=1.0, C_psi=1.0, max_alpha=1.0, delta_input=0.1)
+        LepskiiConfig(q=1.0, C_psi=1.0, max_alpha=1.0)
     with pytest.raises(ValueError):
-        LepskiiConfig(q=2.0, C_psi=0.0, max_alpha=1.0, delta_input=0.1)
-    with pytest.raises(ValueError):
-        LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=1.0, delta_input=0.0)
+        LepskiiConfig(q=2.0, C_psi=0.0, max_alpha=1.0)
+    with pytest.raises(ValueError, match="delta = 0.0"):
+        geometric_grid(2.0, 1.0, 0.0)
 
 
 def test_grid_respects_alpha_cap(op256):
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op256.norm**2, delta_input=0.05)
-    assert cfg.alphas[-1] <= cfg.q * cfg.max_alpha
+    (_,), (alphas,) = geometric_grid(2.0, op256.norm**2, 0.05)
+    assert alphas[-1] <= 2.0 * op256.norm**2
+
+
+@pytest.mark.parametrize(
+    "delta, max_alpha",
+    [
+        (1e-170, 1.0), (1e-160, 1.0), (1.4e-154, 1.0), (1e-150, 1e10),
+        (1e155, 1.0), (np.inf, 1.0), (np.nan, 1.0), (-0.1, 1.0),
+    ],
+)
+def test_grid_names_a_delta_outside_the_float_range(delta, max_alpha):
+    # delta^2 is zero or subnormal, q^m or delta^2 overflows, or delta is no noise level
+    with pytest.raises(ValueError, match=re.escape(f"delta = {delta!r} has no alpha grid")):
+        geometric_grid(2.0, max_alpha, [0.1, delta])
+
+
+def test_grid_near_the_least_normal_square_is_finite():
+    (m,), (alphas,) = geometric_grid(2.0, 1.0, 1e-153)
+    assert alphas[0] == 1e-153**2 and np.all(np.isfinite(alphas)) and alphas[-1] <= 2.0
+    assert m == int(np.ceil(2.0 * np.log(1e153) / np.log(2.0)))
 
 
 def test_oracle_noiseless_prefers_smallest_alpha(op256):
@@ -134,7 +155,7 @@ def test_oracle_matches_brute_force_loop(cross_check_op, filt):
     op = cross_check_op
     x = make_signal("smooth", op.grid)
     for delta in (0.1, 0.01, 0.001):
-        grid = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op.norm**2, delta_input=delta).alphas
+        (grid,) = geometric_grid(2.0, op.norm**2, delta)[1]
         for seed in range(20):
             obs = _white_obs(op, x, delta, seed=seed)
             result = oracle_choice(op, x, obs, filt, grid)
@@ -148,7 +169,7 @@ def test_oracle_matches_brute_force_loop(cross_check_op, filt):
 def test_oracle_ties_go_to_smallest_alpha(op256):
     x = make_signal("smooth", op256.grid)
     obs = _white_obs(op256, x, 0.01, seed=3)
-    grid = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op256.norm**2, delta_input=0.01).alphas
+    (grid,) = geometric_grid(2.0, op256.norm**2, 0.01)[1]
     (alpha,) = oracle_choice(op256, x, obs, tikhonov(), grid).alpha
     # a repeated alpha, listed unsorted, changes nothing
     repeated = np.concatenate([grid, [alpha, alpha]])[::-1]
@@ -236,7 +257,7 @@ def test_discrepancy_matches_brute_force_loop(discrepancy_op, tau, top, satisfie
     direction = dirac_direction(op.grid)
     verdicts = set()
     for delta in (0.1, 0.01, 0.001):
-        grid = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op.norm**2, delta_input=delta).alphas
+        (grid,) = geometric_grid(2.0, op.norm**2, delta)[1]
         grid = grid[-top:] if top else grid
         for seed in range(20):
             spec = getattr(NoiseSpec, kind)(direction, seed=seed)
@@ -267,16 +288,18 @@ def test_discrepancy_noiseless_is_above_oracle(op256):
 
 def test_lepskii_zero_data_accepts_everything(op256):
     obs = _noiseless_obs(op256, L2Vector(op256.grid, np.zeros(256)), 0.01)
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op256.norm**2, delta_input=0.01)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op256.norm**2)
     result = lepskii_choose(op256, LevelData(obs), cfg, SCHED)
-    assert result.j_star.tolist() == result.m.tolist() == [cfg.m]
-    assert np.flatnonzero(result.accepted[0]).tolist() == list(range(1, cfg.m + 1))
+    (m,), _ = geometric_grid(2.0, op256.norm**2, 0.01)
+    assert result.j_star.tolist() == result.m.tolist() == [m]
+    assert result.kappa.tolist() == [np.sqrt(m)]
+    assert np.flatnonzero(result.accepted[0]).tolist() == list(range(1, m + 1))
 
 
 def test_lepskii_noiseless_picks_interior_index(op1024):
     x = make_signal("source", op1024.grid, op=op1024, nu=1.0, amplitude=10.0)
     obs = _noiseless_obs(op1024, x, 1e-6)
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2, delta_input=1e-6)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2)
     result = lepskii_choose(op1024, LevelData(obs), cfg, SCHED)
     assert result.j_star[0] >= 1
 
@@ -284,15 +307,16 @@ def test_lepskii_noiseless_picks_interior_index(op1024):
 def test_lepskii_diagnostics(op1024):
     x = make_signal("source", op1024.grid, op=op1024, nu=1.0, amplitude=10.0)
     obs = _white_obs(op1024, x, 0.02, seed=3)
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2, delta_input=0.02)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2)
     source = SourceCondition.holder(nu=1.0, radius=10.0)
     result = lepskii_choose(op1024, LevelData(obs), cfg, SCHED, source=source)
     (j_star,) = result.j_star
-    assert result.psi.shape == result.alphas.shape == result.candidate_levels.shape == (1, cfg.m + 1)
+    (m,), (alphas,) = geometric_grid(2.0, op1024.norm**2, 0.02)
+    assert result.psi.shape == result.alphas.shape == result.candidate_levels.shape == (1, m + 1)
     assert np.all(np.diff(result.psi[0]) < 0)  # Psi decreasing in j
     # the accepted set is a down-set: 1..j*
     assert np.flatnonzero(result.accepted[0]).tolist() == list(range(1, j_star + 1))
-    assert result.alpha_star[0] == pytest.approx(cfg.alphas[j_star])
+    assert result.alpha_star[0] == pytest.approx(alphas[j_star])
     assert np.all(np.diff(result.levels) <= 0)  # levels nonincreasing in alpha
     assert result.j_check is not None and 0 <= result.j_check[0] <= result.m[0]
     assert "phi_not_increasing" not in result.flags
@@ -302,27 +326,64 @@ def test_lepskii_degenerate_flag(op256):
     # a vanishing band constant rejects every candidate
     x = make_signal("smooth", op256.grid)
     obs = _white_obs(op256, x, 0.05, seed=5)
-    cfg = LepskiiConfig(q=2.0, C_psi=1e-12, max_alpha=op256.norm**2, delta_input=0.05)
+    cfg = LepskiiConfig(q=2.0, C_psi=1e-12, max_alpha=op256.norm**2)
     result = lepskii_choose(op256, LevelData(obs), cfg, SCHED)
     assert result.j_star.tolist() == [0]
     assert "lepskii_degenerate" in result.row_flags[0]
-    assert result.alpha_star[0] == pytest.approx(cfg.alpha0)
+    assert result.alpha_star[0] == pytest.approx(0.05**2)
 
 
 def test_lepskii_delta_inputs_are_one_positive_value_per_row(op64):
     x = make_signal("smooth", op64.grid)
     data = LevelData(observe(op64, x, 0.05, NoiseSpec.gaussian_white(3), replicate=[0, 1]))
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op64.norm**2, delta_input=0.05)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op64.norm**2)
     sched = LevelSchedule(c2=0.0, n_max=64)
-    for bad in ([0.05], [0.05, 0.05, 0.05], [0.05, 0.0], [0.05, np.inf]):
+    for bad in ([0.05], [0.05, 0.05, 0.05], [[0.05, 0.05]], [0.05, 0.0], [0.05, np.inf], 0.0, -0.05, np.nan):
         with pytest.raises(ValueError):
-            lepskii_choose(op64, data, cfg, sched, delta_inputs=np.array(bad))
-    # equal inputs give the shared-input result
+            lepskii_choose(op64, data, cfg, sched, delta=np.array(bad))
+    # an omitted delta is the data's own, and equal inputs give the shared-input result
+    assert data.fine.delta == 0.05
     shared = lepskii_choose(op64, data, cfg, sched)
-    per_row = lepskii_choose(op64, data, cfg, sched, delta_inputs=np.array([0.05, 0.05]))
-    for name in ("j_star", "alpha_star", "m", "kappa", "alphas", "psi", "candidate_levels", "pairs", "x_star"):
-        assert np.array_equal(getattr(shared, name), getattr(per_row, name), equal_nan=True), name
-    assert shared.row_flags == per_row.row_flags
+    for given_delta in (0.05, np.array([0.05, 0.05])):
+        again = lepskii_choose(op64, data, cfg, sched, delta=given_delta)
+        for name in ("j_star", "alpha_star", "m", "kappa", "alphas", "psi", "candidate_levels", "pairs", "x_star"):
+            assert np.array_equal(getattr(shared, name), getattr(again, name), equal_nan=True), name
+        assert shared.row_flags == again.row_flags
+
+
+def _flat_phi(t):
+    # increasing at SourceCondition's probe points, flat on [4e-3, 5e-2]
+    return min(t, 4e-3) + max(t - 0.05, 0.0)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [SourceCondition.holder(nu=1.0, radius=100.0), SourceCondition(phi=_flat_phi, radius=1.0)],
+    ids=["holder", "flat"],
+)
+def test_lepskii_source_diagnostic_rows_equal_each_row_alone(op256, source):
+    x = make_signal("source", op256.grid, op=op256, nu=1.0, amplitude=10.0)
+    batch = observe(op256, x, 0.02, NoiseSpec.gaussian_white(3), replicate=[0, 1, 2, 3])
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op256.norm**2)
+    sched = replace(SCHED, n_max=256)
+    deltas = np.array([0.1, 0.02, 1e-3, 0.3])
+    result = lepskii_choose(op256, LevelData(batch), cfg, sched, source=source, delta=deltas)
+    assert len(set(result.m.tolist())) == 4
+    for i, delta in enumerate(deltas.tolist()):
+        alone = lepskii_choose(op256, LevelData(batch.row(i)), cfg, sched, source=source, delta=delta)
+        assert (result.j_check[i], result.alpha_check[i]) == (alone.j_check[0], alone.alpha_check[0])
+        assert result.row_flags[i] == alone.row_flags[0]
+        # the diagnostic's definition, one candidate at a time
+        m = result.m[i]
+        phi = [source.radius * source.phi(a) for a in result.alphas[i, : m + 1]]
+        feasible = [j for j in range(m + 1) if phi[j] <= delta * result.psi[i, j]]
+        assert result.j_check[i] == max(feasible, default=0)
+        assert result.alpha_check[i] == result.alphas[i, result.j_check[i]]
+        assert ("side_condition_violated" in result.row_flags[i]) == (phi[0] > delta * result.psi[i, 0])
+        assert ("phi_not_increasing" in result.row_flags[i]) == any(b <= a for a, b in zip(phi, phi[1:]))
+    flags = result.flags
+    expected = "side_condition_violated" if source.kind == "holder" else "phi_not_increasing"
+    assert 0 < flags.count(expected) < 4
 
 
 def _candidate(result, i, j):
@@ -338,14 +399,15 @@ def test_lepskii_candidates_match_normal_equations(op256):
     # the cached per-level solver is the same normal-equation operator
     x = make_signal("smooth", op256.grid)
     obs = _white_obs(op256, x, 0.05, seed=13)
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op256.norm**2, delta_input=0.05)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op256.norm**2)
     cache = LevelSolverCache(op256)
     result = lepskii_choose(op256, LevelData(obs), cfg, SCHED, cache=cache)
     from statinv.discretization import nested_level, project
 
-    j = cfg.m // 2
-    alpha = cfg.alphas[j]
-    level = nested_level(n_of(alpha, cfg.delta_input, SCHED), obs.n)
+    (m,), (alphas,) = geometric_grid(2.0, op256.norm**2, 0.05)
+    j = m // 2
+    alpha = alphas[j]
+    level = nested_level(n_of(alpha, 0.05, SCHED), obs.n)
     assert result.candidate_levels[0, j] == level
     obs_j = project(obs, level)
     direct = regularize_normal_equations(cache.operator(level), obs_j.coeffs, alpha)
@@ -357,14 +419,12 @@ def test_data_driven_reduces_to_lepskii(op1024):
     obs = _white_obs(op1024, x, 0.05, seed=21)
     data = LevelData(obs)
     est_cfg = EstimatorConfig()
-    template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2, delta_input=0.05)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2)
     cache = LevelSolverCache(op1024)
-    (estimate,), lep = data_driven_choose(op1024, data, est_cfg, template, SCHED, cache=cache)
-    # feeding the produced estimate back through the known-level rule gives
+    (estimate,), lep = data_driven_choose(op1024, data, est_cfg, cfg, SCHED, cache=cache)
+    # feeding the produced estimate back through the balancing rule gives
     # the identical choice: the pipeline is exactly estimate-then-balance
-    again = lepskii_choose(
-        op1024, LevelData(obs), replace(template, delta_input=estimate.delta_hat), SCHED, cache=cache
-    )
+    again = lepskii_choose(op1024, LevelData(obs), cfg, SCHED, cache=cache, delta=estimate.delta_hat)
     assert again.j_star.tolist() == lep.j_star.tolist()
     assert np.array_equal(again.x_star, lep.x_star)
 
@@ -374,8 +434,8 @@ def test_data_driven_flags_nonconverged_estimator(op64):
     obs = _noiseless_obs(op64, x, 1e-6)
     est_cfg = EstimatorConfig(n0=16)
     sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=64)
-    template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op64.norm**2, delta_input=1.0)
-    (estimate,), lep = data_driven_choose(op64, LevelData(obs), est_cfg, template, sched)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op64.norm**2)
+    (estimate,), lep = data_driven_choose(op64, LevelData(obs), est_cfg, cfg, sched)
     assert not estimate.converged
     assert "estimator_not_converged" in lep.row_flags[0]
     assert lep.x_star.shape == (1, op64.n)
@@ -388,10 +448,10 @@ def test_data_driven_error_close_to_known_delta(op1024):
     x = make_signal("source", op1024.grid, op=op1024, nu=1.0, amplitude=10.0)
     obs = _white_obs(op1024, x, delta, seed=29)
     cache = LevelSolverCache(op1024)
-    template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2, delta_input=delta)
-    known = lepskii_choose(op1024, LevelData(obs), template, SCHED, cache=cache)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2)
+    known = lepskii_choose(op1024, LevelData(obs), cfg, SCHED, cache=cache)
     err_known = np.linalg.norm(known.x_star[0] - x.coeffs)
-    _, estimated = data_driven_choose(op1024, LevelData(obs), EstimatorConfig(), template, SCHED, cache=cache)
+    _, estimated = data_driven_choose(op1024, LevelData(obs), EstimatorConfig(), cfg, SCHED, cache=cache)
     err_dd = np.linalg.norm(estimated.x_star[0] - x.coeffs)
     assert err_dd <= 5.0 * err_known
 
@@ -403,8 +463,8 @@ def test_refine_then_choose_uses_estimate(op1024):
     data = LevelData(obs)
     est_cfg = EstimatorConfig()
     direct = refine_delta_hat(op1024, data, est_cfg, SCHED)
-    template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2, delta_input=0.05)
-    (estimate,), _ = data_driven_choose(op1024, data, est_cfg, template, SCHED)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2)
+    (estimate,), _ = data_driven_choose(op1024, data, est_cfg, cfg, SCHED)
     assert estimate == direct
 
 
@@ -414,31 +474,33 @@ def test_data_driven_estimates_equal_each_row_refined_alone(op64):
     y = apply(op64, x)
     batch = observe(op64, x, 0.05, spec, replicate=[0, 1, 2], y_exact=y)
     sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=1.0, n_max=64)
-    template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op64.norm**2, delta_input=0.05)
-    estimates, _ = data_driven_choose(op64, LevelData(batch), EstimatorConfig(), template, sched)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op64.norm**2)
+    estimates, _ = data_driven_choose(op64, LevelData(batch), EstimatorConfig(), cfg, sched)
     assert len(estimates) == 3
     for i, estimate in enumerate(estimates):
         alone = refine_delta_hat(op64, LevelData(batch.row(i)), EstimatorConfig(), sched)
         assert estimate == alone
 
 
-def _scalar_lepskii(op, obs, cfg, sched):
-    """The balancing rule on one realization, one candidate and one pair at a time.
+def _scalar_lepskii(op, obs, cfg, delta, sched):
+    """The balancing rule on one realization at noise level ``delta``, one
+    candidate and one pair at a time.
 
     Every candidate is embedded in the fine grid and each pair is checked by
     its own 1-D norm, stopping at the first failing k.  Returns
     ``(j_star, accepted, pairs_checked, x_star)``.
     """
     data, cache = LevelData(obs), LevelSolverCache(op)
+    (m,), (alphas,) = geometric_grid(cfg.q, cfg.max_alpha, delta)
     solutions, psi = [], []
-    for a in cfg.alphas:
-        obs_j = data(n_of(a, cfg.delta_input, sched))
+    for a in alphas:
+        obs_j = data(n_of(a, delta, sched))
         x_j = spectral_series(tikhonov(), cache.operator(obs_j.n), obs_j.coeffs, a)
         solutions.append(embed_vector(L2Vector(obs_j.grid, x_j), op.grid).coeffs)
         psi.append(cfg.C_psi * np.sqrt(obs_j.n / (4.0 * a)))
-    band = 4.0 * cfg.kappa * cfg.delta_input * np.array(psi)
+    band = 4.0 * float(np.sqrt(m)) * delta * np.array(psi)
     accepted, pairs = [], 0
-    for j in range(1, cfg.m + 1):
+    for j in range(1, m + 1):
         ok = True
         for k in range(j):
             pairs += 1
@@ -461,14 +523,14 @@ def test_batched_lepskii_matches_the_scalar_rule(n, kind, delta):
     spec = NoiseSpec.gaussian_white(11) if kind == "gaussian_white" else NoiseSpec.dirac(dirac_direction(op.grid))
     y = apply(op, x)
     batch = observe(op, x, delta, spec, replicate=list(range(6)), y_exact=y)
-    template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op.norm**2, delta_input=delta)
-    known = lepskii_choose(op, LevelData(batch), template, sched)
-    estimates, estimated = data_driven_choose(op, LevelData(batch), EstimatorConfig(), template, sched)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op.norm**2)
+    known = lepskii_choose(op, LevelData(batch), cfg, sched)
+    estimates, estimated = data_driven_choose(op, LevelData(batch), EstimatorConfig(), cfg, sched)
     total = 0
     for i in range(batch.rows):
         single = batch.row(i)
-        for result, cfg in [(known, template), (estimated, replace(template, delta_input=estimates[i].delta_hat))]:
-            j_star, accepted, pairs, x_star = _scalar_lepskii(op, single, cfg, sched)
+        for result, row_delta in [(known, delta), (estimated, estimates[i].delta_hat)]:
+            j_star, accepted, pairs, x_star = _scalar_lepskii(op, single, cfg, row_delta, sched)
             assert result.j_star[i] == j_star
             assert np.flatnonzero(result.accepted[i]).tolist() == accepted
             assert result.pairs[i] == pairs
@@ -612,9 +674,9 @@ def test_batch_counts_read_by_the_benchmark_come_from_the_row_arrays():
         noise=noisy.noise, seed_used=(0, 0) + noisy.seed_used,
     )
     sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=64)
-    template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op.norm**2, delta_input=0.05)
-    known = lepskii_choose(op, LevelData(batch), template, sched)
-    estimates, estimated = data_driven_choose(op, LevelData(batch), EstimatorConfig(), template, sched)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op.norm**2)
+    known = lepskii_choose(op, LevelData(batch), cfg, sched)
+    estimates, estimated = data_driven_choose(op, LevelData(batch), EstimatorConfig(), cfg, sched)
     for result in (known, estimated):
         valid = np.arange(result.alphas.shape[1]) <= result.m[:, None]
         assert len(result.levels) == int(np.sum(result.m + 1)) == np.count_nonzero(valid)
@@ -623,7 +685,7 @@ def test_batch_counts_read_by_the_benchmark_come_from_the_row_arrays():
         assert result.accepted_pairs_checked == int(result.pairs.sum())
         assert result.flags == [flag for flags in result.row_flags for flag in flags]
     assert len({m for m in estimated.m.tolist()}) > 1  # rows of different ladders
-    flags = data_driven_choose(op, LevelData(batch), EstimatorConfig(), template, sched)[1].flags
+    flags = data_driven_choose(op, LevelData(batch), EstimatorConfig(), cfg, sched)[1].flags
     assert flags == estimated.flags
     assert estimated.row_flags[0][-2:] == ["estimator_not_converged", "delta_hat_floor"]
     assert "estimator_not_converged" in estimated.row_flags[1]
@@ -661,14 +723,14 @@ def test_rules_reject_non_finite_solutions(op64):
     obs = Observation(
         grid=op64.grid, y_exact=zero, delta=0.05, coeffs=y, noise=NoiseSpec.dirac(zero), seed_used=(0, 1, 2)
     )
-    template = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op64.norm**2, delta_input=0.05)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op64.norm**2)
     sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=64)
     calls = {
         "regularize_svd batch": lambda: regularize_svd(tikhonov(), op64, y, 1e-3),
         "regularize_svd vector": lambda: regularize_svd(tikhonov(), op64, y[1], 1e-3),
         "oracle": lambda: oracle_choice(op64, zero, obs, tikhonov(), [1e-3, 1e-2]),
         "discrepancy": lambda: discrepancy_principle(op64, obs, tikhonov(), 2.0, [1e-3, 1e-2]),
-        "lepskii": lambda: lepskii_choose(op64, LevelData(obs), template, sched),
+        "lepskii": lambda: lepskii_choose(op64, LevelData(obs), cfg, sched),
     }
     with np.errstate(invalid="ignore", over="ignore"):
         for call in calls.values():

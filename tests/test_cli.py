@@ -52,13 +52,24 @@ def test_unknown_method_exits_2(tmp_path):
         ([], "seed = -3\n"),
         ([], "signal.kind = foo\n"),
         ([], "signal.kind = source\nsignal.nu = -1\n"),
+        # delta^2 underflows: no alpha grid at the true delta
+        ([], "delta_list = 1e-170\n"),
+        (["--method", "lepskii_known_delta"], "delta_list = 1e-170\n"),
     ],
-    ids=["seed_flag", "seed_key", "signal_kind", "source_nu"],
+    ids=["seed_flag", "seed_key", "signal_kind", "source_nu", "tiny_delta", "tiny_delta_known"],
 )
 def test_invalid_config_exits_2_without_a_traceback(tmp_path, capsys, flags, extra):
     cfg = _cfg_file(tmp_path, extra=extra)
     assert main(["converge", "--config", cfg, "--out", str(tmp_path / "x.csv"), *flags]) == 2
     assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_tiny_delta_still_runs_the_estimated_delta_study(tmp_path):
+    # the data-driven rule never reads the true delta's grid
+    cfg = _cfg_file(tmp_path, method="lepskii_estimated_delta", extra="delta_list = 1e-170\n")
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+    assert (tmp_path / "x.csv").read_text().splitlines()[1].startswith(format(1e-170, ".17g") + ",")
 
 
 def test_simulate_is_deterministic(tmp_path):

@@ -1,5 +1,4 @@
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,9 +114,9 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: LepskiiConfig(q=float("nan"), C_psi=1.0, max_alpha=1.0, delta_input=0.1),
-        lambda: LepskiiConfig(q=2.0, C_psi=float("inf"), max_alpha=1.0, delta_input=0.1),
-        lambda: LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=float("inf"), delta_input=0.1),
+        lambda: LepskiiConfig(q=float("nan"), C_psi=1.0, max_alpha=1.0),
+        lambda: LepskiiConfig(q=2.0, C_psi=float("inf"), max_alpha=1.0),
+        lambda: LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=float("inf")),
         lambda: EstimatorConfig(tau=float("nan")),
         lambda: EstimatorConfig(eps=float("inf")),
         lambda: EstimatorConfig(K=float("inf")),
@@ -287,9 +286,7 @@ def test_run_study_pairs_methods_on_one_realization():
     sched = effective_schedule(cfg, op)
     spec = build_noise_spec(cfg, op.grid)
     for di, (delta, x_true, choices) in enumerate(together):
-        template = LepskiiConfig(
-            q=cfg.lepskii_q, C_psi=cfg.lepskii_c_psi, max_alpha=op.norm**2, delta_input=delta
-        )
+        lep_cfg = LepskiiConfig(q=cfg.lepskii_q, C_psi=cfg.lepskii_c_psi, max_alpha=op.norm**2)
         # only the known-delta method's best_error is read (the veto oracle column)
         assert choices["oracle"].best_error is None
         assert choices["lepskii_estimated_delta"].best_error is None
@@ -297,8 +294,8 @@ def test_run_study_pairs_methods_on_one_realization():
             c = choices[method]
             for rep in range(cfg.replicates):
                 obs = observe(op, x_true, delta, spec, replicate=(di, rep))
-                lep_cfg = template if c.delta_hat is None else replace(template, delta_input=c.delta_hat[rep])
-                fresh = lepskii_choose(op, LevelData(obs), lep_cfg, sched)
+                row_delta = delta if c.delta_hat is None else c.delta_hat[rep]
+                fresh = lepskii_choose(op, LevelData(obs), lep_cfg, sched, delta=row_delta)
                 assert np.array_equal(fresh.x_star[0], c.x[rep])
                 if c.best_error is None:
                     continue

@@ -5,7 +5,9 @@ examples."""
 
 import logging
 import math
-from dataclasses import replace
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from statinv import (
     draw_noise,
     embed_vector,
     estimate_delta_sq,
+    geometric_grid,
     lepskii_choose,
     n_of,
     nested_level,
@@ -409,26 +412,27 @@ def test_ladder_levels_follow_n_of(n, deltas, shared, q, r, c1, c2, n_max):
     x = make_signal("smooth", op.grid)
     data = LevelData(observe(op, x, 0.05, NoiseSpec.gaussian_white(5), replicate=list(range(rows))))
     sched = LevelSchedule(r=r, c1=c1, c2=c2, n_max=n_max)
-    cfg = LepskiiConfig(q=q, C_psi=1.0, max_alpha=op.norm**2, delta_input=deltas[0])
+    cfg = LepskiiConfig(q=q, C_psi=1.0, max_alpha=op.norm**2)
     counter = _CapCount()
     logger = logging.getLogger("statinv.discretization")
     logger.addHandler(counter)
     try:
-        result = lepskii_choose(op, data, cfg, sched, delta_inputs=None if shared else np.array(deltas))
+        result = lepskii_choose(op, data, cfg, sched, delta=deltas[0] if shared else np.array(deltas))
         warned = counter.count
-        ladders = [cfg] if shared else [replace(cfg, delta_input=d) for d in deltas]
+        ladders = deltas[:1] if shared else deltas
+        grids = [geometric_grid(q, op.norm**2, d)[1][0] for d in ladders]
         for i in range(rows):
-            alone = ladders[0 if shared else i]
-            size = alone.m + 1
-            assert (result.m[i], result.kappa[i]) == (alone.m, alone.kappa)
-            assert np.array_equal(result.alphas[i, :size], alone.alphas)
-            levels = [data.level(n_of(a, alone.delta_input, sched)) for a in alone.alphas]
-            assert result.candidate_levels[i, :size].tolist() == levels
-            assert np.all(result.candidate_levels[i, size:] == 0)
+            delta, alphas = (ladders[0], grids[0]) if shared else (ladders[i], grids[i])
+            m = alphas.size - 1
+            assert (result.m[i], result.kappa[i]) == (m, np.sqrt(m))
+            assert np.array_equal(result.alphas[i, : m + 1], alphas)
+            levels = [data.level(n_of(a, delta, sched)) for a in alphas]
+            assert result.candidate_levels[i, : m + 1].tolist() == levels
+            assert np.all(result.candidate_levels[i, m + 1 :] == 0)
     finally:
         logger.removeHandler(counter)
     # one warning per capped candidate of each ladder: one ladder for a shared delta input
-    capped = sum(sched.uncapped(a, lad.delta_input) > n_max for lad in ladders for a in lad.alphas)
+    capped = sum(sched.uncapped(a, d) > n_max for d, alphas in zip(ladders, grids) for a in alphas)
     assert warned == capped
 
 
@@ -482,3 +486,35 @@ def test_filter_laws_hold_on_random_spectra(spectrum, alpha_grid):
     for filt in (tikhonov(), spectral_cutoff()):
         report = verify_filter_properties(filt, op, alpha_grid, n_theta=200)
         assert report.all_passed, (filt.kind, report.failures)
+
+
+FAILING_PROPERTY = """
+import warnings
+
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers(0, 10))
+def test_property_fails(k):
+    assert k < 5
+
+
+def test_deprecation_still_fails():
+    warnings.warn("a numpy or scipy deprecation", DeprecationWarning)
+"""
+
+
+def test_a_failing_property_reports_its_example(tmp_path):
+    # the suite's warning filters let hypothesis print its falsifying example
+    # and still turn any other deprecation into a failure
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    (tmp_path / "test_failing.py").write_text(FAILING_PROPERTY)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "-p", "no:cacheprovider", str(tmp_path)],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    output = run.stdout + run.stderr
+    assert "INTERNALERROR" not in output
+    assert "Falsifying example: test_property_fails(" in output
+    assert "2 failed" in output and run.returncode == 1, output
