@@ -18,7 +18,12 @@ rule's constants q, C_psi and max_alpha = ||T||^2, never a delta.
 Candidates are Tikhonov solutions at level n(alpha_j, delta), computed as
 the spectral series V_r F_alpha(s^2) s U_r^T y of the level operator through
 its ``uty`` and ``v``, so that all alphas and replicates reuse the singular
-system cached when the level is built.
+system cached when the level is built, and the U^T y of a level is computed
+once per batch.  Each pair is compared on the coarser candidate's own level
+when the levels form a divisor chain (every power-of-two grid): the finer
+candidate is projected there and the squared norm the projection drops is
+added back.  Other ladders embed every candidate into the grid of L cells,
+L the lcm of their levels.
 
 Every rule takes a batch of R data rows and returns one record of per-row
 arrays: the chosen alphas (R,), the chosen solutions (R, n) and the
@@ -120,9 +125,10 @@ def geometric_grid(q: float, max_alpha: float, deltas) -> Tuple[np.ndarray, np.n
     return m, alphas
 
 
-# Entries of a block of fine-grid rows that a rule holds at once: the
-# differences in LepskiiResult.errors, the data rows of one oracle or
-# discrepancy block, and their (rows, alphas, rank) score tables.
+# Entries of a block of rows that a rule holds at once: the differences in
+# LepskiiResult.errors and in the level stack of the balancing rule, the data
+# rows of one oracle or discrepancy block, and their (rows, alphas, rank)
+# score tables.
 _CHUNK = 2**16
 
 # The balancing candidates are Tikhonov solutions.
@@ -422,6 +428,84 @@ class _Ladders:
         return cls(m, kappa, alphas, levels, psi, band, psi_flags, source_flags, alpha_check, j_check)
 
 
+def _uty(data: LevelData, lop: DiscreteOperator) -> np.ndarray:
+    """U^T y of every row of ``data`` at the level of ``lop``, computed once per batch.
+
+    Both balancing pipelines of a study read the same batch, so the
+    estimated-delta call reuses the transforms of the known-delta one; each
+    row of the stacked transform is bit-equal to that row transformed alone.
+    """
+    return data.cached((_uty, lop), lambda: lop.uty(data(lop.n).coeffs.reshape(data.rows, lop.n)))
+
+
+def _lcm_distances(blocks: list, rows: int, width: int) -> np.ndarray:
+    """The (R, W, W) table of ||x_k - x_j|| for k < j, on the grid of L cells.
+
+    Every candidate of every row is embedded isometrically into the grid of
+    L cells, L the lcm of the candidate levels, and every pair of every row
+    is subtracted there.  This serves ladders whose levels are not a divisor
+    chain, and is the reference the level stack is tested against.
+    """
+    cells = int(np.lcm.reduce([level for level, *_ in blocks]))
+    embedded = np.zeros((rows, width, cells))
+    for level, ii, jj, x in blocks:
+        embedded[ii, jj] = _embed(x, level, cells)
+    dist = np.zeros((rows, width, width))
+    diff = np.empty((rows, cells))  # one buffer for every (k, j) pair
+    for j in range(1, width):
+        for k in range(j):
+            np.subtract(embedded[:, k], embedded[:, j], out=diff)
+            dist[:, k, j] = np.sqrt(np.vecdot(diff, diff))
+    return dist
+
+
+def _level_distances(blocks: list, rows: int, width: int) -> np.ndarray:
+    """The (R, W, W) table of ||x_k - x_j|| for k < j, each pair on the level of x_j.
+
+    Needs levels that form a divisor chain.  The levels are walked from the
+    finest to the coarsest.  At level c the stack S holds every candidate of
+    level >= c projected to c (block means times sqrt(l / c)), and ``res``
+    the squared norm of what those projections dropped, summed level by
+    level.  Candidate j of level c lies in V_c, which is nested in the level
+    of every k < j (levels never grow along a ladder), so
+    ||x_k - x_j||^2 = res_k + ||S_k - x_j||^2 exactly; in floats it differs
+    from the lcm table in the last bits.  The differences are taken a few k
+    at a time, at most ``_CHUNK`` entries, and a row's entries depend on
+    that row alone.
+    """
+    dist = np.zeros((rows, width, width))
+    res = np.zeros((rows, width))
+    above = max(level for level, *_ in blocks)
+    stack = np.zeros((rows, 0, above))
+    for level, ii, jj, x in sorted(blocks, key=lambda block: block[0], reverse=True):
+        held, step = stack.shape[1], above // level
+        # block means and residuals one cell offset at a time: a reduction
+        # over a short last axis runs many times slower
+        cells = stack.reshape(rows, held, level, step)
+        means = cells[..., 0].copy()
+        for t in range(1, step):
+            means += cells[..., t]
+        means /= step
+        for t in range(step):
+            cells[..., t] -= means  # the stack now holds what the projection drops
+        res[:, :held] += np.vecdot(stack, stack)
+        stack = np.zeros((rows, max(held, int(jj.max()) + 1), level))
+        stack[:, :held] = means * np.sqrt(step)
+        stack[ii, jj] = x  # slots of candidates not yet reached are zero and stay so
+        above = level
+        for j in sorted(set(jj.tolist()) - {0}):
+            who = ii[jj == j]
+            if who.size == rows:
+                who = slice(None)  # every row: views of the stack, no gather
+            xj = stack[who, j][:, None]
+            span = max(1, _CHUNK // (xj.shape[0] * level))
+            for k in range(0, j, span):
+                stop = min(j, k + span)
+                d = stack[who, k:stop] - xj
+                dist[who, k:stop, j] = np.sqrt(res[who, k:stop] + np.vecdot(d, d))
+    return dist
+
+
 def lepskii_choose(
     op: DiscreteOperator,
     data: LevelData,
@@ -440,9 +524,13 @@ def lepskii_choose(
     delta input are laid out once, in one table for all of them
     (``_Ladders``).  Candidate j of a row reads its data at level
     ``n(alpha_j, delta)``, rounded up to a nested level by ``data``.  All
-    candidates of one level are computed in one product from one U^T y per
-    row, and the pairwise distances are taken after isometric embedding into
-    the grid of L cells, L the lcm of the candidate levels.  When a source
+    candidates of one level are computed in one product from the batch's
+    U^T y at that level, which ``data`` caches for the next call.  The
+    pairwise distances fill one (R, W, W) table: on the levels themselves
+    when the candidate levels form a divisor chain (``_level_distances``),
+    else after isometric embedding into the grid of L cells, L the lcm of
+    the candidate levels (``_lcm_distances``).  Both give the same decisions
+    up to rounding at a near tie.  When a source
     condition is supplied, the observable-vs-bias balance diagnostic
     alpha_check = max{j: Phi(j) <= delta Psi(j)} is reported as well, with
     Phi(j) = radius * phi(alpha_j).
@@ -465,35 +553,30 @@ def lepskii_choose(
     alphas, psi, band, levels = (t[of_row] for t in (ladders.alphas, ladders.psi, ladders.band, ladders.levels))
 
     # candidates: one U^T y per (batch, level), one product per level; the
-    # distinct values come from bincount and sorted runs, as np.unique's first
-    # call imports numpy.ma (about 20 ms)
+    # distinct values come from bincount, as np.unique's first call imports
+    # numpy.ma (about 20 ms)
     present = np.flatnonzero(np.bincount(levels[levels > 0])).tolist()
-    cells = int(np.lcm.reduce(present))
-    embedded = np.zeros((rows, width, cells))
     blocks = []
     for level in present:
         ii, jj = np.nonzero(levels == level)  # ii is sorted
-        first = np.concatenate(([True], ii[1:] != ii[:-1]))
-        need, pos = ii[first], np.cumsum(first) - 1
         lop = cache.operator(level)
         s = lop.s[: lop.rank]
-        uty = lop.uty(data(level).coeffs.reshape(rows, level)[need])
         # each row bit-equal to spectral_series at its own alpha
-        x = require_finite_coeffs(lop.v(filter_value(_TIKHONOV, alphas[ii, jj][:, None], s**2) * s * uty[pos]))
-        embedded[ii, jj] = _embed(x, level, cells)
+        gains = filter_value(_TIKHONOV, alphas[ii, jj][:, None], s**2) * s
+        x = require_finite_coeffs(lop.v(gains * _uty(data, lop)[ii]))
         blocks.append((level, ii, jj, x))
+    chain = all(finer % coarser == 0 for coarser, finer in zip(present, present[1:]))
+    dist = (_level_distances if chain else _lcm_distances)(blocks, rows, width)
 
     # acceptance of j against k = 0, 1, ... for all rows at once; a row stops
     # checking j at its first failing k, as the scalar rule does
     accepted = np.zeros((rows, width), dtype=bool)
     pairs = np.zeros(rows, dtype=int)
-    diff = np.empty((rows, cells))  # one buffer for every (k, j) pair
     for j in range(1, width):
         checking = j <= m
         for k in range(j):
             pairs += checking
-            np.subtract(embedded[:, k], embedded[:, j], out=diff)
-            checking &= ~(np.sqrt(np.vecdot(diff, diff)) > band[:, k])
+            checking &= ~(dist[:, k, j] > band[:, k])
         accepted[:, j] = checking
 
     # j* is the largest accepted index, 0 when none is; x* is embedded in

@@ -12,7 +12,8 @@ replicate at the first delta of delta_list, the one ``converge`` draws first,
 drawn as a batch of one row.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (for
-example the discrepancy principle applied to white noise).
+example the discrepancy principle applied to white noise, or a noise-level
+estimate that overflows).
 
 A process that runs ``main`` registers ``gc.freeze`` with ``atexit``, once.
 At shutdown the interpreter's last collection then skips the import graph
@@ -180,7 +181,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    except (WhiteNoiseError, DataUnavailableError, np.linalg.LinAlgError) as exc:
+    except (WhiteNoiseError, DataUnavailableError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

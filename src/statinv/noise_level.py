@@ -113,7 +113,8 @@ def estimate_delta_sq(obs: Observation):
     bit-equal to the estimate of its row alone, and a float for one
     realization, which runs as a batch of one.  A batch is read a few rows
     at a time, so the temporaries stay small whatever R is and the process
-    does not map fresh pages for them on every batch.
+    does not map fresh pages for them on every batch.  Raises
+    ``FloatingPointError`` when the sum of squared differences overflows.
     """
     n = obs.n
     if n < 2:
@@ -121,9 +122,15 @@ def estimate_delta_sq(obs: Observation):
     batch = obs.coeffs.ndim == 2
     out = np.empty(obs.rows)
     step = max(1, _CHUNK // n)
-    for k in range(0, obs.rows, step):
-        diffs = np.diff(pointwise_values(obs, slice(k, k + step) if batch else slice(None)), axis=-1)
-        out[k : k + step] = np.sum(np.square(diffs, out=diffs), axis=-1)
+    with np.errstate(over="ignore"):  # an overflow is reported below, once
+        for k in range(0, obs.rows, step):
+            diffs = np.diff(pointwise_values(obs, slice(k, k + step) if batch else slice(None)), axis=-1)
+            out[k : k + step] = np.sum(np.square(diffs, out=diffs), axis=-1)
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError(
+            f"the noise-level estimate overflows at level {n}: "
+            "the squared differences of the data leave the float range"
+        )
     out /= 2.0 * n * n
     return out if batch else float(out[0])
 

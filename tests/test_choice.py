@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from statinv import (
     spectral_series,
     tikhonov,
 )
+import statinv.choice as choice_module
 from statinv.choice import _CHUNK
 from statinv.grid import distances
 from statinv.harness import METHODS, build_study
@@ -537,6 +539,81 @@ def test_batched_lepskii_matches_the_scalar_rule(n, kind, delta):
             assert np.array_equal(result.x_star[i], x_star)
             total += pairs
     assert known.accepted_pairs_checked + estimated.accepted_pairs_checked == total
+
+
+CHAIN_OPS = {n: build_integration_operator(Grid(n)) for n in (64, 256, 1024)}
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(
+    st.sampled_from(sorted(CHAIN_OPS)),
+    st.floats(1.2, 4.0),
+    st.lists(st.floats(-3.0, -0.7), min_size=1, max_size=4),
+    st.booleans(),
+    st.integers(0, 1000),
+)
+def test_level_stack_decides_as_the_lcm_table(n, q, log_deltas, shared, seed):
+    # on a power-of-two grid the levels form a divisor chain, so the rule
+    # walks the level stack; the lcm table must reach the same decisions
+    op = CHAIN_OPS[n]
+    x = make_signal("source", op.grid, op=op, nu=1.0, amplitude=10.0)
+    deltas = 10.0 ** np.array(log_deltas)
+    batch = observe(op, x, float(deltas[0]), NoiseSpec.gaussian_white(seed), replicate=list(range(deltas.size)))
+    sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=n)
+    cfg = LepskiiConfig(q=q, C_psi=1.0, max_alpha=op.norm**2)
+    delta = None if shared else deltas
+    stack = lepskii_choose(op, LevelData(batch), cfg, sched, delta=delta)
+    with mock.patch.object(choice_module, "_level_distances", choice_module._lcm_distances):
+        table = lepskii_choose(op, LevelData(batch), cfg, sched, delta=delta)
+    for name in ("accepted", "pairs", "j_star", "x_star"):
+        assert np.array_equal(getattr(stack, name), getattr(table, name)), name
+    # the distances themselves agree to rounding on every pair a row has
+    rows, width = stack.alphas.shape
+    on_levels = choice_module._level_distances(stack.blocks, rows, width)
+    on_lcm = choice_module._lcm_distances(stack.blocks, rows, width)
+    k, j = np.arange(width)[:, None], np.arange(width)
+    pairs = (k < j) & (j <= stack.m[:, None, None])
+    np.testing.assert_allclose(on_levels[pairs], on_lcm[pairs], rtol=1e-12, atol=1e-12 * x.norm())
+
+
+def test_lepskii_builds_no_lcm_table_on_a_divisor_chain():
+    # n = 4096: the ladder's levels 1, 2, 4, ..., 4096 form a divisor chain,
+    # and the candidates of each level are compared on that level, so the
+    # traced peak stays below the (R, W, L) table of the lcm embedding
+    op = build_integration_operator(Grid(4096))
+    x = make_signal("source", op.grid, op=op, nu=1.0, amplitude=10.0)
+    sched = LevelSchedule(r=1.0, eta=1.0, c1=0.25, c2=0.0, n_max=4096)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op.norm**2)
+    cache = LevelSolverCache(op)
+    batch = observe(op, x, 1e-4, NoiseSpec.gaussian_white(3), replicate=list(range(16)))
+    lepskii_choose(op, LevelData(batch), cfg, sched, cache=cache)  # builds the level operators
+    peak = _traced_peak(lambda: lepskii_choose(op, LevelData(batch), cfg, sched, cache=cache))
+    result = lepskii_choose(op, LevelData(batch), cfg, sched, cache=cache)
+    assert max(result.levels) == 4096 and len(set(result.levels)) > 10
+    table = batch.rows * result.alphas.shape[1] * 4096 * 8
+    assert peak < 0.75 * table, (peak, table)
+
+
+def test_lepskii_off_a_divisor_chain_keeps_the_lcm_table():
+    # n = 96: levels such as 24 and 32 are not nested, so the pairs are taken
+    # on the lcm grid, with the decisions the rule made before the level stack
+    op = build_integration_operator(Grid(96))
+    x = make_signal("source", op.grid, op=op, nu=1.0, amplitude=10.0)
+    sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=96)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op.norm**2)
+    batch = observe(op, x, 0.05, NoiseSpec.gaussian_white(11), replicate=list(range(6)))
+    with (
+        mock.patch.object(choice_module, "_lcm_distances", wraps=choice_module._lcm_distances) as lcm,
+        mock.patch.object(choice_module, "_level_distances", wraps=choice_module._level_distances) as stack,
+    ):
+        known = lepskii_choose(op, LevelData(batch), cfg, sched)
+        _, estimated = data_driven_choose(op, LevelData(batch), EstimatorConfig(), cfg, sched)
+    assert (lcm.call_count, stack.call_count) == (2, 0)
+    assert {24, 16} <= set(known.levels)
+    assert (known.j_star.tolist(), known.pairs.tolist()) == ([6] * 6, [26] * 6)
+    assert (estimated.j_star.tolist(), estimated.pairs.tolist()) == ([5] * 6, [15, 20, 15, 15, 15, 15])
+    for i in range(batch.rows):
+        assert np.array_equal(known.x_star[i], _scalar_lepskii(op, batch.row(i), cfg, 0.05, sched)[3])
 
 
 SMALL = ExperimentConfig(

@@ -72,6 +72,22 @@ def test_tiny_delta_still_runs_the_estimated_delta_study(tmp_path):
     assert (tmp_path / "x.csv").read_text().splitlines()[1].startswith(format(1e-170, ".17g") + ",")
 
 
+@pytest.mark.parametrize(
+    "command, delta",
+    [("converge", "1e154"), ("estimate-noise", "1e200")],
+    ids=["converge", "estimate_noise"],
+)
+def test_overflowing_noise_level_estimate_exits_3(tmp_path, capsys, command, delta):
+    # the squared differences of the data overflow: no estimate, not an infinite one
+    cfg = _cfg_file(tmp_path, method="lepskii_estimated_delta", extra=f"delta_list = {delta}\n")
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: the noise-level estimate overflows")
+    assert "delta_hat" not in captured.out
+    assert not out.exists()
+
+
 def test_simulate_is_deterministic(tmp_path):
     cfg = _cfg_file(tmp_path)
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
