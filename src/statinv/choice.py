@@ -19,11 +19,12 @@ Candidates are Tikhonov solutions at level n(alpha_j, delta), computed as
 the spectral series V_r F_alpha(s^2) s U_r^T y of the level operator through
 its ``uty`` and ``v``, so that all alphas and replicates reuse the singular
 system cached when the level is built, and the U^T y of a level is computed
-once per batch.  Each pair is compared on the coarser candidate's own level
-when the levels form a divisor chain (every power-of-two grid): the finer
-candidate is projected there and the squared norm the projection drops is
-added back.  Other ladders embed every candidate into the grid of L cells,
-L the lcm of their levels.
+once per batch.  Each pair is compared on one working grid per level, the
+lcm of that level and all coarser candidate levels, which is the level
+itself on a divisor chain (every power-of-two grid): the finer candidate
+is projected there and the squared norm the projection drops is added
+back.  Each working grid divides the previous one, so the projections
+compose exactly.
 
 Every rule takes a batch of R data rows and returns one record of per-row
 arrays: the chosen alphas (R,), the chosen solutions (R, n) and the
@@ -126,9 +127,9 @@ def geometric_grid(q: float, max_alpha: float, deltas) -> Tuple[np.ndarray, np.n
 
 
 # Entries of a block of rows that a rule holds at once: the differences in
-# LepskiiResult.errors and in the level stack of the balancing rule, the data
-# rows of one oracle or discrepancy block, and their (rows, alphas, rank)
-# score tables.
+# LepskiiResult.errors and in the level stack of the balancing rule (on the
+# working grid of each level, every ladder alike), the data rows of one
+# oracle or discrepancy block, and their (rows, alphas, rank) score tables.
 _CHUNK = 2**16
 
 # The balancing candidates are Tikhonov solutions.
@@ -438,50 +439,39 @@ def _uty(data: LevelData, lop: DiscreteOperator) -> np.ndarray:
     return data.cached((_uty, lop), lambda: lop.uty(data(lop.n).coeffs.reshape(data.rows, lop.n)))
 
 
-def _lcm_distances(blocks: list, rows: int, width: int) -> np.ndarray:
-    """The (R, W, W) table of ||x_k - x_j|| for k < j, on the grid of L cells.
-
-    Every candidate of every row is embedded isometrically into the grid of
-    L cells, L the lcm of the candidate levels, and every pair of every row
-    is subtracted there.  This serves ladders whose levels are not a divisor
-    chain, and is the reference the level stack is tested against.
-    """
-    cells = int(np.lcm.reduce([level for level, *_ in blocks]))
-    embedded = np.zeros((rows, width, cells))
-    for level, ii, jj, x in blocks:
-        embedded[ii, jj] = _embed(x, level, cells)
-    dist = np.zeros((rows, width, width))
-    diff = np.empty((rows, cells))  # one buffer for every (k, j) pair
-    for j in range(1, width):
-        for k in range(j):
-            np.subtract(embedded[:, k], embedded[:, j], out=diff)
-            dist[:, k, j] = np.sqrt(np.vecdot(diff, diff))
-    return dist
-
-
 def _level_distances(blocks: list, rows: int, width: int) -> np.ndarray:
-    """The (R, W, W) table of ||x_k - x_j|| for k < j, each pair on the level of x_j.
+    """The (R, W, W) table of ||x_k - x_j|| for k < j, each pair on the working grid of x_j's level.
 
-    Needs levels that form a divisor chain.  The levels are walked from the
-    finest to the coarsest.  At level c the stack S holds every candidate of
-    level >= c projected to c (block means times sqrt(l / c)), and ``res``
-    the squared norm of what those projections dropped, summed level by
-    level.  Candidate j of level c lies in V_c, which is nested in the level
-    of every k < j (levels never grow along a ladder), so
+    The levels are walked from the finest to the coarsest.  The working
+    grid of level l has g cells, g the lcm of the levels at or below l, so
+    each g divides the previous one and on a divisor chain (every
+    power-of-two grid) g is l itself.  On g the stack S holds every
+    candidate of level >= l: those of finer working grids projected there
+    (block means times sqrt(g' / g), g' the previous grid; projections onto
+    nested grids compose exactly), the others embedded; ``res`` holds the
+    squared norm of what the projections dropped, summed grid by grid.
+    Candidate j of level l lies in V_l, nested in V_g, and the level of
+    every k < j is at least l (levels never grow along a ladder), so
     ||x_k - x_j||^2 = res_k + ||S_k - x_j||^2 exactly; in floats it differs
-    from the lcm table in the last bits.  The differences are taken a few k
-    at a time, at most ``_CHUNK`` entries, and a row's entries depend on
-    that row alone.
+    from an embedding in the lcm grid of all levels in the last bits.  One
+    stack is made per working grid, after the previous one is freed.  The
+    differences are taken a few k at a time, at most ``_CHUNK`` entries,
+    and a row's entries depend on that row alone.
     """
     dist = np.zeros((rows, width, width))
     res = np.zeros((rows, width))
-    above = max(level for level, *_ in blocks)
+    blocks = sorted(blocks, key=lambda block: block[0], reverse=True)
+    grids = np.lcm.accumulate([level for level, *_ in reversed(blocks)])[::-1].tolist()
+    on_grid = {}  # the blocks of each working grid, the finest grid first
+    for block, g in zip(blocks, grids):
+        on_grid.setdefault(g, []).append(block)
+    above = grids[0]
     stack = np.zeros((rows, 0, above))
-    for level, ii, jj, x in sorted(blocks, key=lambda block: block[0], reverse=True):
-        held, step = stack.shape[1], above // level
+    for g, group in on_grid.items():
+        held, step = stack.shape[1], above // g
         # block means and residuals one cell offset at a time: a reduction
         # over a short last axis runs many times slower
-        cells = stack.reshape(rows, held, level, step)
+        cells = stack.reshape(rows, held, g, step)
         means = cells[..., 0].copy()
         for t in range(1, step):
             means += cells[..., t]
@@ -489,16 +479,20 @@ def _level_distances(blocks: list, rows: int, width: int) -> np.ndarray:
         for t in range(step):
             cells[..., t] -= means  # the stack now holds what the projection drops
         res[:, :held] += np.vecdot(stack, stack)
-        stack = np.zeros((rows, max(held, int(jj.max()) + 1), level))
-        stack[:, :held] = means * np.sqrt(step)
-        stack[ii, jj] = x  # slots of candidates not yet reached are zero and stay so
-        above = level
+        means *= np.sqrt(step)
+        del cells, stack
+        ii, jj = (np.concatenate(index) for index in zip(*(block[1:3] for block in group)))
+        stack = np.zeros((rows, max(held, int(jj.max()) + 1), g))
+        stack[:, :held] = means
+        for level, block_rows, slots, x in group:
+            stack[block_rows, slots] = _embed(x, level, g)  # slots not yet reached are zero and stay so
+        above = g
         for j in sorted(set(jj.tolist()) - {0}):
             who = ii[jj == j]
             if who.size == rows:
                 who = slice(None)  # every row: views of the stack, no gather
             xj = stack[who, j][:, None]
-            span = max(1, _CHUNK // (xj.shape[0] * level))
+            span = max(1, _CHUNK // (xj.shape[0] * g))
             for k in range(0, j, span):
                 stop = min(j, k + span)
                 d = stack[who, k:stop] - xj
@@ -526,11 +520,10 @@ def lepskii_choose(
     ``n(alpha_j, delta)``, rounded up to a nested level by ``data``.  All
     candidates of one level are computed in one product from the batch's
     U^T y at that level, which ``data`` caches for the next call.  The
-    pairwise distances fill one (R, W, W) table: on the levels themselves
-    when the candidate levels form a divisor chain (``_level_distances``),
-    else after isometric embedding into the grid of L cells, L the lcm of
-    the candidate levels (``_lcm_distances``).  Both give the same decisions
-    up to rounding at a near tie.  When a source
+    pairwise distances fill one (R, W, W) table, each pair taken on the
+    working grid of the coarser candidate's level, the lcm of the levels at
+    or below it; each working grid divides the previous one, and on a
+    divisor chain it is the level itself (``_level_distances``).  When a source
     condition is supplied, the observable-vs-bias balance diagnostic
     alpha_check = max{j: Phi(j) <= delta Psi(j)} is reported as well, with
     Phi(j) = radius * phi(alpha_j).
@@ -565,8 +558,7 @@ def lepskii_choose(
         gains = filter_value(_TIKHONOV, alphas[ii, jj][:, None], s**2) * s
         x = require_finite_coeffs(lop.v(gains * _uty(data, lop)[ii]))
         blocks.append((level, ii, jj, x))
-    chain = all(finer % coarser == 0 for coarser, finer in zip(present, present[1:]))
-    dist = (_level_distances if chain else _lcm_distances)(blocks, rows, width)
+    dist = _level_distances(blocks, rows, width)
 
     # acceptance of j against k = 0, 1, ... for all rows at once; a row stops
     # checking j at its first failing k, as the scalar rule does
@@ -626,13 +618,18 @@ def data_driven_choose(
     ``lepskii_choose`` call then balances every row with its own estimate,
     laying out one candidate ladder per row.  Returns the estimates, one per
     row, and the Lepskii result, whose ``x_star`` holds the chosen
-    solutions.  A non-converged estimate is flagged but still used.
+    solutions.  A non-converged estimate is flagged but still used; an
+    estimate without an alpha grid raises ``FloatingPointError``.
     """
     estimates = [refine_delta_hat(op, raw_data, est_cfg, sched, row=i) for i in range(raw_data.rows)]
     delta_hat = np.array([e.delta_hat for e in estimates])
     # a zero estimate (constant data) is floored so that the alpha grid exists
     deltas = np.where(delta_hat > 0.0, delta_hat, 1e-12)
-    result = lepskii_choose(op, raw_data, lep_cfg, sched, source=source, cache=cache, delta=deltas)
+    try:
+        result = lepskii_choose(op, raw_data, lep_cfg, sched, source=source, cache=cache, delta=deltas)
+    except ValueError as exc:
+        # a finite estimate can still be too large for its alpha grid
+        raise FloatingPointError(f"delta_hat: {exc}") from None
     for flags, estimate in zip(result.row_flags, estimates):
         if not estimate.converged:
             flags.append("estimator_not_converged")

@@ -541,7 +541,23 @@ def test_batched_lepskii_matches_the_scalar_rule(n, kind, delta):
     assert known.accepted_pairs_checked + estimated.accepted_pairs_checked == total
 
 
-CHAIN_OPS = {n: build_integration_operator(Grid(n)) for n in (64, 256, 1024)}
+def _fine_distances(blocks, rows, width, n):
+    """The (R, W, W) table of ||x_k - x_j|| for k < j, every candidate embedded
+    in the fine grid of n cells and every pair subtracted there: the
+    reference the level stack is checked against."""
+    embedded = np.zeros((rows, width, n))
+    for level, ii, jj, x in blocks:
+        embedded[ii, jj] = np.repeat(x, n // level, axis=1) * np.sqrt(level / n)
+    dist = np.zeros((rows, width, width))
+    for j in range(1, width):
+        for k in range(j):
+            diff = embedded[:, k] - embedded[:, j]
+            dist[:, k, j] = np.sqrt(np.vecdot(diff, diff))
+    return dist
+
+
+# 64, 256 and 1024 give divisor-chain ladders, 96 and 1000 do not
+CHAIN_OPS = {n: build_integration_operator(Grid(n)) for n in (64, 96, 256, 1000, 1024)}
 
 
 @settings(derandomize=True, max_examples=50, deadline=None, database=None)
@@ -553,8 +569,8 @@ CHAIN_OPS = {n: build_integration_operator(Grid(n)) for n in (64, 256, 1024)}
     st.integers(0, 1000),
 )
 def test_level_stack_decides_as_the_lcm_table(n, q, log_deltas, shared, seed):
-    # on a power-of-two grid the levels form a divisor chain, so the rule
-    # walks the level stack; the lcm table must reach the same decisions
+    # the level stack, on divisor chains and off them, reaches the decisions
+    # of an embedding of every candidate in the fine grid
     op = CHAIN_OPS[n]
     x = make_signal("source", op.grid, op=op, nu=1.0, amplitude=10.0)
     deltas = 10.0 ** np.array(log_deltas)
@@ -563,52 +579,65 @@ def test_level_stack_decides_as_the_lcm_table(n, q, log_deltas, shared, seed):
     cfg = LepskiiConfig(q=q, C_psi=1.0, max_alpha=op.norm**2)
     delta = None if shared else deltas
     stack = lepskii_choose(op, LevelData(batch), cfg, sched, delta=delta)
-    with mock.patch.object(choice_module, "_level_distances", choice_module._lcm_distances):
+    with mock.patch.object(choice_module, "_level_distances", lambda *args: _fine_distances(*args, n)):
         table = lepskii_choose(op, LevelData(batch), cfg, sched, delta=delta)
     for name in ("accepted", "pairs", "j_star", "x_star"):
         assert np.array_equal(getattr(stack, name), getattr(table, name)), name
     # the distances themselves agree to rounding on every pair a row has
     rows, width = stack.alphas.shape
     on_levels = choice_module._level_distances(stack.blocks, rows, width)
-    on_lcm = choice_module._lcm_distances(stack.blocks, rows, width)
+    on_fine = _fine_distances(stack.blocks, rows, width, n)
     k, j = np.arange(width)[:, None], np.arange(width)
     pairs = (k < j) & (j <= stack.m[:, None, None])
-    np.testing.assert_allclose(on_levels[pairs], on_lcm[pairs], rtol=1e-12, atol=1e-12 * x.norm())
+    np.testing.assert_allclose(on_levels[pairs], on_fine[pairs], rtol=1e-12, atol=1e-12 * x.norm())
 
 
-def test_lepskii_builds_no_lcm_table_on_a_divisor_chain():
-    # n = 4096: the ladder's levels 1, 2, 4, ..., 4096 form a divisor chain,
-    # and the candidates of each level are compared on that level, so the
-    # traced peak stays below the (R, W, L) table of the lcm embedding
-    op = build_integration_operator(Grid(4096))
+def _stack_peak_and_table(n):
+    # the traced peak of a warm lepskii_choose call at q = 2, c1 = 0.25, and
+    # the size of the (R, W, L) table of an embedding in the lcm grid L
+    op = build_integration_operator(Grid(n))
     x = make_signal("source", op.grid, op=op, nu=1.0, amplitude=10.0)
-    sched = LevelSchedule(r=1.0, eta=1.0, c1=0.25, c2=0.0, n_max=4096)
+    sched = LevelSchedule(r=1.0, eta=1.0, c1=0.25, c2=0.0, n_max=n)
     cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op.norm**2)
     cache = LevelSolverCache(op)
     batch = observe(op, x, 1e-4, NoiseSpec.gaussian_white(3), replicate=list(range(16)))
     lepskii_choose(op, LevelData(batch), cfg, sched, cache=cache)  # builds the level operators
     peak = _traced_peak(lambda: lepskii_choose(op, LevelData(batch), cfg, sched, cache=cache))
     result = lepskii_choose(op, LevelData(batch), cfg, sched, cache=cache)
+    cells = int(np.lcm.reduce(sorted(set(result.levels))))
+    return result, peak, batch.rows * result.alphas.shape[1] * cells * 8
+
+
+def test_lepskii_builds_no_lcm_table_on_a_divisor_chain():
+    # n = 4096: the ladder's levels 1, 2, 4, ..., 4096 form a divisor chain,
+    # and the candidates of each level are compared on that level, so the
+    # traced peak stays below the (R, W, L) table of the lcm embedding
+    result, peak, table = _stack_peak_and_table(4096)
     assert max(result.levels) == 4096 and len(set(result.levels)) > 10
-    table = batch.rows * result.alphas.shape[1] * 4096 * 8
     assert peak < 0.75 * table, (peak, table)
 
 
-def test_lepskii_off_a_divisor_chain_keeps_the_lcm_table():
-    # n = 96: levels such as 24 and 32 are not nested, so the pairs are taken
-    # on the lcm grid, with the decisions the rule made before the level stack
+def test_lepskii_off_a_divisor_chain_stays_below_the_lcm_table():
+    # n = 3072: levels such as 1024 and 1536 are not nested, so the stack
+    # works on lcm grids; each stack is freed before the next one is made
+    result, peak, table = _stack_peak_and_table(3072)
+    levels = sorted(set(result.levels))
+    assert max(levels) == 3072 and any(finer % coarser for coarser, finer in zip(levels, levels[1:]))
+    assert peak < table, (peak, table)
+
+
+def test_lepskii_off_a_divisor_chain_walks_the_level_stack():
+    # n = 96: levels such as 24 and 32 are not nested, and the level stack
+    # makes the decisions the rule made with an embedding in the lcm grid
     op = build_integration_operator(Grid(96))
     x = make_signal("source", op.grid, op=op, nu=1.0, amplitude=10.0)
     sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=96)
     cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op.norm**2)
     batch = observe(op, x, 0.05, NoiseSpec.gaussian_white(11), replicate=list(range(6)))
-    with (
-        mock.patch.object(choice_module, "_lcm_distances", wraps=choice_module._lcm_distances) as lcm,
-        mock.patch.object(choice_module, "_level_distances", wraps=choice_module._level_distances) as stack,
-    ):
+    with mock.patch.object(choice_module, "_level_distances", wraps=choice_module._level_distances) as stack:
         known = lepskii_choose(op, LevelData(batch), cfg, sched)
         _, estimated = data_driven_choose(op, LevelData(batch), EstimatorConfig(), cfg, sched)
-    assert (lcm.call_count, stack.call_count) == (2, 0)
+    assert stack.call_count == 2
     assert {24, 16} <= set(known.levels)
     assert (known.j_star.tolist(), known.pairs.tolist()) == ([6] * 6, [26] * 6)
     assert (estimated.j_star.tolist(), estimated.pairs.tolist()) == ([5] * 6, [15, 20, 15, 15, 15, 15])

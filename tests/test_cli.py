@@ -88,6 +88,18 @@ def test_overflowing_noise_level_estimate_exits_3(tmp_path, capsys, command, del
     assert not out.exists()
 
 
+def test_estimate_without_an_alpha_grid_exits_3(tmp_path, capsys):
+    # delta_hat is finite, but delta_hat^2 q^j leaves the float range
+    extra = "operator.n = 4\nschedule.n_max = 4\ndelta_list = 1e151\nestimator.n0 = 2\nlepskii.q = 1e6\n"
+    cfg = _cfg_file(tmp_path, method="lepskii_estimated_delta", extra=extra + "replicates = 2\nseed = 1\n")
+    out = tmp_path / "x.csv"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: delta_hat: delta = ")
+    assert "no alpha grid" in captured.err and "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_simulate_is_deterministic(tmp_path):
     cfg = _cfg_file(tmp_path)
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,7 +1,9 @@
 """Golden lock: the committed study CSVs reproduce within stated tolerances.
 
 ``tests/golden/*.csv`` hold the output of ``statinv converge`` on the
-committed ``configs/veto.cfg`` and ``configs/mse_oracle.cfg``.  Floats are
+committed ``configs/veto.cfg``, ``configs/mse_oracle.cfg`` and
+``configs/veto_n96.cfg``, the veto study at n = 96, whose candidate levels
+are not a divisor chain.  Floats are
 compared at relative 1e-10, not byte for byte: the last digit can differ
 between BLAS thread counts.  Counts and rates that come from integer tallies
 (``m``, ``rep_count``, ``hit_rate``) must match exactly.
@@ -38,7 +40,7 @@ def _assert_same(actual_path, expected_path):
                 assert math.isclose(float(got[col]), float(value), rel_tol=REL), (col, got[col], value)
 
 
-@pytest.mark.parametrize("name", ["veto", "mse_oracle"])
+@pytest.mark.parametrize("name", ["veto", "mse_oracle", "veto_n96"])
 def test_study_matches_golden(name, tmp_path, capsys):
     out = tmp_path / f"{name}.csv"
     assert main(["converge", "--config", str(ROOT / "configs" / f"{name}.cfg"), "--out", str(out)]) == 0
