@@ -10,11 +10,10 @@ data-driven convergent method for an ill-posed problem.
 """
 
 from .choice import (
-    DiscrepancyResult,
+    Choice,
     LepskiiConfig,
     LepskiiResult,
     LevelSolverCache,
-    OracleResult,
     data_driven_choose,
     discrepancy_principle,
     geometric_grid,
@@ -51,7 +50,6 @@ from .filters import (
 from .grid import Grid, L2Vector
 from .harness import (
     BiasVarianceReport,
-    Choice,
     ExperimentConfig,
     MseRow,
     VetoRow,

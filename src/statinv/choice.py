@@ -13,7 +13,8 @@ is what makes the combined pipeline purely data driven.  ``geometric_grid``
 is the only code that lays the grid out: the balancing rule calls it at its
 delta inputs, and the harness reads the oracle's and the discrepancy
 principle's grid from it at the true delta.  ``LepskiiConfig`` holds the
-rule's constants q, C_psi and max_alpha = ||T||^2, never a delta.
+rule's constants q and C_psi, never a delta; the grid's cap ||T||^2 is read
+from the operator.
 
 Candidates are Tikhonov solutions at level n(alpha_j, delta), computed as
 the spectral series V_r F_alpha(s^2) s U_r^T y of the level operator through
@@ -27,8 +28,10 @@ back.  Each working grid divides the previous one, so the projections
 compose exactly.
 
 Every rule takes a batch of R data rows and returns one record of per-row
-arrays: the chosen alphas (R,), the chosen solutions (R, n) and the
-rule's diagnostics; a single realization is R = 1.  How a rule walks the
+arrays: the chosen alphas (R,), the chosen solutions (R, n), each row's
+flags and the rule's diagnostics; a single realization is R = 1.  The
+alpha-grid rules return a :class:`Choice`, the balancing rule a
+:class:`LepskiiResult` with its candidate tables.  How a rule walks the
 rows is its own business: the balancing rule handles all R at once (a
 :class:`LevelData`, so the known-delta and the estimated-delta
 pipelines, and the noise-level estimator, read the same projected
@@ -56,11 +59,10 @@ from .noise_level import EstimatorConfig, refine_delta_hat
 from .operators import DiscreteOperator, SourceCondition
 
 __all__ = [
+    "Choice",
     "LepskiiConfig",
     "geometric_grid",
     "LepskiiResult",
-    "OracleResult",
-    "DiscrepancyResult",
     "LevelSolverCache",
     "oracle_choice",
     "discrepancy_principle",
@@ -69,23 +71,46 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LepskiiConfig:
-    """Constants of the balancing principle: grid ratio q, Psi factor C_psi
-    and the cap max_alpha of the grid (see ``geometric_grid``)."""
+    """Constants of the balancing principle: grid ratio q and Psi factor C_psi.
 
-    q: float
-    C_psi: float
-    max_alpha: float
+    The grid's cap ||T||^2 is not a constant of the rule: ``lepskii_choose``
+    reads it from the operator (see ``geometric_grid``).
+    """
+
+    q: float = 2.0
+    C_psi: float = 1.0
 
     def __post_init__(self):
         require_finite(self)
         if self.q <= 1.0:
-            raise ValueError("q must be > 1")
+            raise ValueError(f"q must be > 1, got {self.q}")
         if self.C_psi <= 0:
-            raise ValueError("C_psi must be positive")
-        if self.max_alpha <= 0:
-            raise ValueError("max_alpha must be positive")
+            raise ValueError(f"C_psi must be positive, got {self.C_psi}")
+
+
+@dataclass
+class Choice:
+    """One rule's parameter choice on the R rows of a batch, as arrays over the rows.
+
+    ``alpha`` (R,) and the solutions ``x`` (R, n) are always set, and
+    ``flags`` lists each row's flags.  ``j_star`` and ``m`` are set by the
+    Lepskii methods, ``best_error`` (the least true error over the
+    candidates, which the veto study reports) by the known-delta one,
+    ``delta_hat`` by the estimated-delta method, ``residual`` and
+    ``satisfied`` by the discrepancy principle; each is an (R,) array.
+    """
+
+    alpha: np.ndarray
+    x: np.ndarray
+    flags: list
+    j_star: Optional[np.ndarray] = None
+    m: Optional[np.ndarray] = None
+    delta_hat: Optional[np.ndarray] = None
+    residual: Optional[np.ndarray] = None
+    satisfied: Optional[np.ndarray] = None
+    best_error: Optional[np.ndarray] = None
 
 
 _TINY = np.finfo(float).tiny  # the least positive normal double
@@ -258,21 +283,13 @@ def _sorted_grid(alpha_grid: Sequence[float]) -> np.ndarray:
     return alphas
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    """The oracle's choice for the R rows of a batch: alpha (R,) and solution x (R, n)."""
-
-    alpha: np.ndarray
-    x: np.ndarray
-
-
 def oracle_choice(
     op: DiscreteOperator,
     x_true: L2Vector,
     obs: Observation,
     filt: Filter,
     alpha_grid: Sequence[float],
-) -> OracleResult:
+) -> Choice:
     """Grid alpha minimizing the true error ||x_alpha - x_true||, per row (benchmark only).
 
     The whole grid is scored in the right singular basis from each row's
@@ -283,7 +300,7 @@ def oracle_choice(
     batch; the rows are scored and solved in blocks (``_solve_rows``).
     Returns the winner's alpha and solution for every row of ``obs`` (one
     realization is one row), each bit-equal to the row scored and solved
-    alone; ties break toward the smallest alpha.
+    alone, and no flags; ties break toward the smallest alpha.
     """
     alphas = _sorted_grid(alpha_grid)
     s = op.s[: op.rank]
@@ -296,21 +313,7 @@ def oracle_choice(
         return np.argmin(scores, axis=-1)  # the first, smallest alpha
 
     sol = _solve_rows(filt, op, obs, alphas, pick)
-    return OracleResult(alpha=sol.alpha, x=sol.x_alpha)
-
-
-@dataclass(frozen=True)
-class DiscrepancyResult:
-    """The discrepancy principle's choice for the R rows of a batch.
-
-    ``alpha``, ``satisfied`` and ``residual`` ||T x - y|| are (R,) arrays,
-    the solution ``x`` is (R, n).
-    """
-
-    alpha: np.ndarray
-    satisfied: np.ndarray
-    residual: np.ndarray
-    x: np.ndarray
+    return Choice(alpha=sol.alpha, x=sol.x_alpha, flags=[[] for _ in range(sol.alpha.size)])
 
 
 def discrepancy_principle(
@@ -319,7 +322,7 @@ def discrepancy_principle(
     filt: Filter,
     tau_dp: float,
     alpha_grid: Sequence[float],
-) -> DiscrepancyResult:
+) -> Choice:
     """Largest grid alpha whose residual stays within tau_dp * delta, per row.
 
     Returns the choice for every row of ``obs`` (one realization is one
@@ -329,12 +332,13 @@ def discrepancy_principle(
     outside range(U_r), whose squared norm ||y||^2 - ||c||^2 is added when
     the rank is below n (at full rank it is zero up to a cancellation error
     that would swamp small residuals).  A row falls back to the smallest
-    grid alpha, with ``satisfied`` false, when no alpha qualifies.
-    ``satisfied`` is this verdict; ``residual`` and ``x`` come from the
-    winner's ``regularize_svd`` (``_solve_rows``).  Requires noise that
-    is bounded in norm (dirac or scaled_rv); white-noise observations are
-    rejected because their residual norm diverges with the discretization
-    level and the rule loses its meaning.
+    grid alpha, with ``satisfied`` false and the flag
+    ``discrepancy_unsatisfied``, when no alpha qualifies.  ``satisfied`` is
+    this verdict; ``residual`` and ``x`` come from the winner's
+    ``regularize_svd`` (``_solve_rows``).  Requires noise that is bounded
+    in norm (dirac or scaled_rv); white-noise observations are rejected
+    because their residual norm diverges with the discretization level and
+    the rule loses its meaning.
     """
     if tau_dp <= 1.0:
         raise ValueError("tau_dp must be > 1")
@@ -360,8 +364,13 @@ def discrepancy_principle(
         return np.where(any_ok, alphas.size - 1 - np.argmax(ok[:, ::-1], axis=-1), 0)
 
     sol = _solve_rows(filt, op, obs, alphas, pick)
-    return DiscrepancyResult(
-        alpha=sol.alpha, satisfied=np.concatenate(satisfied), residual=sol.residual_norm, x=sol.x_alpha
+    satisfied = np.concatenate(satisfied)
+    return Choice(
+        alpha=sol.alpha,
+        x=sol.x_alpha,
+        flags=[[] if ok else ["discrepancy_unsatisfied"] for ok in satisfied.tolist()],
+        residual=sol.residual_norm,
+        satisfied=satisfied,
     )
 
 
@@ -387,18 +396,19 @@ class _Ladders:
 
     @classmethod
     def build(
-        cls, cfg: LepskiiConfig, deltas: np.ndarray, data: LevelData, sched: LevelSchedule, source
+        cls, cfg: LepskiiConfig, max_alpha: float, deltas: np.ndarray, data: LevelData, sched: LevelSchedule,
+        source,
     ) -> "_Ladders":
         """The ladders of ``cfg`` at the (D,) ``deltas``, each entry bit-equal to its delta alone.
 
-        The grids are ``geometric_grid``'s.  Every level is
-        ``data.level(n_of(alpha_j, delta, sched))``, and each capped
+        The grids are ``geometric_grid``'s, capped at ``max_alpha``.  Every
+        level is ``data.level(n_of(alpha_j, delta, sched))``, and each capped
         candidate logs its ``n_max`` warning.  The source-condition
         diagnostic reads one table Phi = radius * phi(alpha_j); phi is called
         once per candidate on its np.float64 alpha, since a user's phi need
         not take arrays and an array power may round differently.
         """
-        m, alphas = geometric_grid(cfg.q, cfg.max_alpha, deltas)
+        m, alphas = geometric_grid(cfg.q, max_alpha, deltas)
         kappa = np.sqrt(m)
         valid = ~np.isnan(alphas)
         requested = n_of(alphas, deltas[:, None], sched)[valid]
@@ -407,7 +417,8 @@ class _Ladders:
         served = np.array([data.level(int(n)) for n in wanted])
         levels = np.zeros(alphas.shape, dtype=int)
         levels[valid] = served[np.searchsorted(wanted, requested)]
-        psi = cfg.C_psi * np.sqrt(levels / (4.0 * alphas))
+        # sqrt(level / (4 alpha)), without the 4 alpha that overflows near the largest double
+        psi = cfg.C_psi * (0.5 * np.sqrt(levels / alphas))
         rising = np.any(np.diff(psi, axis=1) >= 0, axis=1).tolist()
         psi_flags = [["psi_not_decreasing"] if bad else [] for bad in rising]
         source_flags = [[] for _ in range(m.size)]
@@ -511,13 +522,14 @@ def lepskii_choose(
 ) -> LepskiiResult:
     """Balancing choice over the geometric grid with per-candidate levels, for a batch.
 
-    ``data`` holds R data rows.  Every row balances with ``cfg`` at the
-    noise level ``delta``: the true one, ``data.fine.delta``, when it is
-    omitted, one value for every row, or row i at ``delta[i]`` of an (R,)
-    array (the data-driven pipeline's estimates).  The candidates of each
-    delta input are laid out once, in one table for all of them
-    (``_Ladders``).  Candidate j of a row reads its data at level
-    ``n(alpha_j, delta)``, rounded up to a nested level by ``data``.  All
+    ``data`` holds R data rows.  Every row balances with ``cfg``, on grids
+    capped at ||T||^2 = ``op.norm**2``, at the noise level ``delta``: the
+    true one, ``data.fine.delta``, when it is omitted, one value for every
+    row, or row i at ``delta[i]`` of an (R,) array (the data-driven
+    pipeline's estimates).  The candidates of each delta input are laid
+    out once, in one table for all of them (``_Ladders``).  Candidate j of
+    a row reads its data at level ``n(alpha_j, delta)``, rounded up to a
+    nested level by ``data``.  All
     candidates of one level are computed in one product from the batch's
     U^T y at that level, which ``data`` caches for the next call.  The
     pairwise distances fill one (R, W, W) table, each pair taken on the
@@ -538,7 +550,7 @@ def lepskii_choose(
         raise ValueError(f"{deltas.size} delta inputs for {rows} data rows")
     if not np.all(np.isfinite(deltas) & (deltas > 0)):
         raise ValueError("delta inputs must be positive and finite")
-    ladders = _Ladders.build(cfg, deltas.reshape(-1), data, sched, source)
+    ladders = _Ladders.build(cfg, op.norm**2, deltas.reshape(-1), data, sched, source)
     # one ladder for every row, or one per row
     of_row = np.arange(rows) if deltas.ndim else np.zeros(rows, dtype=int)
     m = ladders.m[of_row]

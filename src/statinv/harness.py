@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .choice import (
+    Choice,
     LepskiiConfig,
     LevelSolverCache,
     data_driven_choose,
@@ -84,8 +85,7 @@ class ExperimentConfig:
     study: str = "mse"
     schedule: LevelSchedule = field(default_factory=LevelSchedule)
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
-    lepskii_q: float = 2.0
-    lepskii_c_psi: float = 1.0
+    lepskii: LepskiiConfig = field(default_factory=LepskiiConfig)
     tau_dp: float = 2.0
     epsilons: tuple = (0.5, 0.2, 0.1, 0.05)
     out: Optional[str] = None
@@ -122,10 +122,6 @@ class ExperimentConfig:
         self.delta_list = deltas
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
-        if self.lepskii_q <= 1.0:
-            raise ConfigError(f"lepskii.q must be > 1, got {self.lepskii_q}")
-        if self.lepskii_c_psi <= 0.0:
-            raise ConfigError(f"lepskii.C_psi must be positive, got {self.lepskii_c_psi}")
         if self.tau_dp <= 1.0:
             raise ConfigError(f"choice.tau_dp must be > 1, got {self.tau_dp}")
         if self.estimator.n0 > self.operator_n:
@@ -136,7 +132,8 @@ class ExperimentConfig:
         self.epsilons = tuple(float(e) for e in self.epsilons)
 
 
-# flat config keys -> (attribute, parser)
+# flat config keys -> (attribute, parser); "section.field" attributes are
+# fields of the config section that _SECTIONS names
 _KEYS = {
     "operator.kind": ("operator_kind", str),
     "operator.n": ("operator_n", int),
@@ -160,18 +157,20 @@ _KEYS = {
     "estimator.eps": ("estimator.eps", float),
     "estimator.m_window": ("estimator.m_window", int),
     "estimator.n0": ("estimator.n0", int),
-    "lepskii.q": ("lepskii_q", float),
-    "lepskii.C_psi": ("lepskii_c_psi", float),
+    "lepskii.q": ("lepskii.q", float),
+    "lepskii.C_psi": ("lepskii.C_psi", float),
     "choice.tau_dp": ("tau_dp", float),
     "epsilons": ("epsilons", lambda s: tuple(float(v) for v in s.split(","))),
     "out": ("out", str),
 }
 
+# config sections: the ExperimentConfig attribute and the frozen record it holds
+_SECTIONS = {"schedule": LevelSchedule, "estimator": EstimatorConfig, "lepskii": LepskiiConfig}
+
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     plain = {}
-    sched = {}
-    est = {}
+    sections = {name: {} for name in _SECTIONS}
     for key, raw in mapping.items():
         if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
@@ -183,16 +182,16 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         numbers = value if isinstance(value, tuple) else (value,)
         if not all(math.isfinite(v) for v in numbers if isinstance(v, float)):
             raise ConfigError(f"{key} must be finite, got {raw!r}")
-        if attr.startswith("schedule."):
-            sched[attr.split(".", 1)[1]] = value
-        elif attr.startswith("estimator."):
-            est[attr.split(".", 1)[1]] = value
-        else:
-            plain[attr] = value
+        section, _, name = attr.rpartition(".")
+        (sections[section] if section else plain)[name] = value
+    for section, fields in sections.items():
+        try:
+            plain[section] = _SECTIONS[section](**fields)
+        except (ValueError, TypeError) as exc:
+            # the records name the field; the section completes the config key
+            raise ConfigError(f"{section}.{exc}") from exc
     try:
-        schedule = LevelSchedule(**sched) if sched else LevelSchedule()
-        estimator = EstimatorConfig(**est) if est else EstimatorConfig()
-        return ExperimentConfig(schedule=schedule, estimator=estimator, **plain)
+        return ExperimentConfig(**plain)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -356,75 +355,35 @@ def run_mse_study(cfg: ExperimentConfig) -> list:
     return rows
 
 
-@dataclass
-class Choice:
-    """One method's parameter choice on the R rows of a batch, as arrays over the rows.
-
-    ``alpha`` (R,) and the solutions ``x`` (R, n) are always set, and
-    ``flags`` lists each row's flags.  ``j_star`` and ``m`` are set by the
-    Lepskii methods, ``best_error`` (the least true error over the
-    candidates, which the veto study reports) by the known-delta one,
-    ``delta_hat`` by the estimated-delta method, ``residual`` and
-    ``satisfied`` by the discrepancy principle; each is an (R,) array.
-    """
-
-    alpha: np.ndarray
-    x: np.ndarray
-    flags: list
-    j_star: Optional[np.ndarray] = None
-    m: Optional[np.ndarray] = None
-    delta_hat: Optional[np.ndarray] = None
-    residual: Optional[np.ndarray] = None
-    satisfied: Optional[np.ndarray] = None
-    best_error: Optional[np.ndarray] = None
-
-
 def choose(study: Study, method: str, data: LevelData) -> Choice:
     """Run ``method`` on every row of a batch of ``study``; the one dispatch over ``METHODS``.
 
-    Every rule takes the whole batch in one call, and its record of per-row
-    arrays becomes one ``Choice``.  ``study.x_true`` is read by the oracle
-    and for the known-delta ``best_error``.
+    Every rule takes the whole batch in one call.  The alpha-grid rules
+    return their ``Choice``, and the balancing record of the Lepskii methods
+    becomes one.  ``study.x_true`` is read by the oracle and for the
+    known-delta ``best_error``.
     """
     cfg, op, x_true, fine = study.cfg, study.op, study.x_true, data.fine
     if method in ("oracle", "discrepancy", "lepskii_known_delta"):
         # the rules that read the grid at the true delta: a delta without one is a config error
         try:
-            _, grid = geometric_grid(cfg.lepskii_q, op.norm**2, fine.delta)
+            _, grid = geometric_grid(cfg.lepskii.q, op.norm**2, fine.delta)
         except ValueError as exc:
             raise ConfigError(f"delta_list: {exc}") from exc
-    filt = tikhonov()
     if method == "oracle":
-        picks = oracle_choice(op, x_true, fine, filt, grid[0])
-        return Choice(alpha=picks.alpha, x=picks.x, flags=[[] for _ in range(fine.rows)])
+        return oracle_choice(op, x_true, fine, tikhonov(), grid[0])
     if method == "discrepancy":
-        dp = discrepancy_principle(op, fine, filt, cfg.tau_dp, grid[0])
-        return Choice(
-            alpha=dp.alpha,
-            x=dp.x,
-            flags=[[] if ok else ["discrepancy_unsatisfied"] for ok in dp.satisfied.tolist()],
-            residual=dp.residual,
-            satisfied=dp.satisfied,
-        )
-    lep_cfg = LepskiiConfig(q=cfg.lepskii_q, C_psi=cfg.lepskii_c_psi, max_alpha=op.norm**2)
-    delta_hat = best_error = None
+        return discrepancy_principle(op, fine, tikhonov(), cfg.tau_dp, grid[0])
     if method == "lepskii_known_delta":
-        lep = lepskii_choose(op, data, lep_cfg, study.sched, cache=study.cache)
-        best_error = lep.errors(x_true).min(axis=1)  # the veto study's oracle column
+        lep = lepskii_choose(op, data, cfg.lepskii, study.sched, cache=study.cache)
+        # the veto study's oracle column
+        extra = {"best_error": lep.errors(x_true).min(axis=1)}
     elif method == "lepskii_estimated_delta":
-        estimates, lep = data_driven_choose(op, data, cfg.estimator, lep_cfg, study.sched, cache=study.cache)
-        delta_hat = np.array([e.delta_hat for e in estimates])
+        estimates, lep = data_driven_choose(op, data, cfg.estimator, cfg.lepskii, study.sched, cache=study.cache)
+        extra = {"delta_hat": np.array([e.delta_hat for e in estimates])}
     else:
         raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
-    return Choice(
-        alpha=lep.alpha_star,
-        x=lep.x_star,
-        flags=lep.row_flags,
-        j_star=lep.j_star,
-        m=lep.m,
-        delta_hat=delta_hat,
-        best_error=best_error,
-    )
+    return Choice(alpha=lep.alpha_star, x=lep.x_star, flags=lep.row_flags, j_star=lep.j_star, m=lep.m, **extra)
 
 
 @dataclass

@@ -18,6 +18,7 @@ from statinv import (
     EstimatorConfig,
     ExperimentConfig,
     L2Vector,
+    LepskiiConfig,
     LevelData,
     LevelSchedule,
     NoiseSpec,
@@ -53,8 +54,7 @@ VETO_CONFIG = ExperimentConfig(
     study="veto",
     schedule=LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=1024),
     estimator=EstimatorConfig(tau=1.5, K=3.0, p=2.0, eps=0.1, m_window=3, n0=16),
-    lepskii_q=2.0,
-    lepskii_c_psi=1.0,
+    lepskii=LepskiiConfig(q=2.0, C_psi=1.0),
 )
 
 

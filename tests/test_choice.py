@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from statinv import (
+    Choice,
     DiscreteOperator,
     EstimatorConfig,
     ExperimentConfig,
@@ -74,9 +75,9 @@ def test_grid_arithmetic_example():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        LepskiiConfig(q=1.0, C_psi=1.0, max_alpha=1.0)
+        LepskiiConfig(q=1.0, C_psi=1.0)
     with pytest.raises(ValueError):
-        LepskiiConfig(q=2.0, C_psi=0.0, max_alpha=1.0)
+        LepskiiConfig(q=2.0, C_psi=0.0)
     with pytest.raises(ValueError, match="delta = 0.0"):
         geometric_grid(2.0, 1.0, 0.0)
 
@@ -97,6 +98,18 @@ def test_grid_names_a_delta_outside_the_float_range(delta, max_alpha):
     # delta^2 is zero or subnormal, q^m or delta^2 overflows, or delta is no noise level
     with pytest.raises(ValueError, match=re.escape(f"delta = {delta!r} has no alpha grid")):
         geometric_grid(2.0, max_alpha, [0.1, delta])
+
+
+def test_psi_stays_positive_where_four_alpha_overflows():
+    # alpha_1 = delta^2 q is a double, but 4 alpha_1 is not
+    op = build_integration_operator(Grid(4))
+    delta = 1.2e151
+    data = LevelData(_white_obs(op, make_signal("smooth", op.grid), delta))
+    result = lepskii_choose(op, data, LepskiiConfig(q=1e6), LevelSchedule(c2=0.0, n_max=4))
+    alphas, psi, levels = result.alphas[0], result.psi[0], result.candidate_levels[0]
+    assert result.m.tolist() == [1] and alphas[1] > np.finfo(float).max / 4
+    assert np.all(psi > 0)
+    assert np.array_equal(psi, np.sqrt(levels / alphas) / 2)
 
 
 def test_grid_near_the_least_normal_square_is_finite():
@@ -290,7 +303,7 @@ def test_discrepancy_noiseless_is_above_oracle(op256):
 
 def test_lepskii_zero_data_accepts_everything(op256):
     obs = _noiseless_obs(op256, L2Vector(op256.grid, np.zeros(256)), 0.01)
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op256.norm**2)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0)
     result = lepskii_choose(op256, LevelData(obs), cfg, SCHED)
     (m,), _ = geometric_grid(2.0, op256.norm**2, 0.01)
     assert result.j_star.tolist() == result.m.tolist() == [m]
@@ -301,7 +314,7 @@ def test_lepskii_zero_data_accepts_everything(op256):
 def test_lepskii_noiseless_picks_interior_index(op1024):
     x = make_signal("source", op1024.grid, op=op1024, nu=1.0, amplitude=10.0)
     obs = _noiseless_obs(op1024, x, 1e-6)
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0)
     result = lepskii_choose(op1024, LevelData(obs), cfg, SCHED)
     assert result.j_star[0] >= 1
 
@@ -309,7 +322,7 @@ def test_lepskii_noiseless_picks_interior_index(op1024):
 def test_lepskii_diagnostics(op1024):
     x = make_signal("source", op1024.grid, op=op1024, nu=1.0, amplitude=10.0)
     obs = _white_obs(op1024, x, 0.02, seed=3)
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0)
     source = SourceCondition.holder(nu=1.0, radius=10.0)
     result = lepskii_choose(op1024, LevelData(obs), cfg, SCHED, source=source)
     (j_star,) = result.j_star
@@ -328,7 +341,7 @@ def test_lepskii_degenerate_flag(op256):
     # a vanishing band constant rejects every candidate
     x = make_signal("smooth", op256.grid)
     obs = _white_obs(op256, x, 0.05, seed=5)
-    cfg = LepskiiConfig(q=2.0, C_psi=1e-12, max_alpha=op256.norm**2)
+    cfg = LepskiiConfig(q=2.0, C_psi=1e-12)
     result = lepskii_choose(op256, LevelData(obs), cfg, SCHED)
     assert result.j_star.tolist() == [0]
     assert "lepskii_degenerate" in result.row_flags[0]
@@ -338,7 +351,7 @@ def test_lepskii_degenerate_flag(op256):
 def test_lepskii_delta_inputs_are_one_positive_value_per_row(op64):
     x = make_signal("smooth", op64.grid)
     data = LevelData(observe(op64, x, 0.05, NoiseSpec.gaussian_white(3), replicate=[0, 1]))
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op64.norm**2)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0)
     sched = LevelSchedule(c2=0.0, n_max=64)
     for bad in ([0.05], [0.05, 0.05, 0.05], [[0.05, 0.05]], [0.05, 0.0], [0.05, np.inf], 0.0, -0.05, np.nan):
         with pytest.raises(ValueError):
@@ -366,7 +379,7 @@ def _flat_phi(t):
 def test_lepskii_source_diagnostic_rows_equal_each_row_alone(op256, source):
     x = make_signal("source", op256.grid, op=op256, nu=1.0, amplitude=10.0)
     batch = observe(op256, x, 0.02, NoiseSpec.gaussian_white(3), replicate=[0, 1, 2, 3])
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op256.norm**2)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0)
     sched = replace(SCHED, n_max=256)
     deltas = np.array([0.1, 0.02, 1e-3, 0.3])
     result = lepskii_choose(op256, LevelData(batch), cfg, sched, source=source, delta=deltas)
@@ -401,7 +414,7 @@ def test_lepskii_candidates_match_normal_equations(op256):
     # the cached per-level solver is the same normal-equation operator
     x = make_signal("smooth", op256.grid)
     obs = _white_obs(op256, x, 0.05, seed=13)
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op256.norm**2)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0)
     cache = LevelSolverCache(op256)
     result = lepskii_choose(op256, LevelData(obs), cfg, SCHED, cache=cache)
     from statinv.discretization import nested_level, project
@@ -421,7 +434,7 @@ def test_data_driven_reduces_to_lepskii(op1024):
     obs = _white_obs(op1024, x, 0.05, seed=21)
     data = LevelData(obs)
     est_cfg = EstimatorConfig()
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0)
     cache = LevelSolverCache(op1024)
     (estimate,), lep = data_driven_choose(op1024, data, est_cfg, cfg, SCHED, cache=cache)
     # feeding the produced estimate back through the balancing rule gives
@@ -436,7 +449,7 @@ def test_data_driven_flags_nonconverged_estimator(op64):
     obs = _noiseless_obs(op64, x, 1e-6)
     est_cfg = EstimatorConfig(n0=16)
     sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=64)
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op64.norm**2)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0)
     (estimate,), lep = data_driven_choose(op64, LevelData(obs), est_cfg, cfg, sched)
     assert not estimate.converged
     assert "estimator_not_converged" in lep.row_flags[0]
@@ -450,7 +463,7 @@ def test_data_driven_error_close_to_known_delta(op1024):
     x = make_signal("source", op1024.grid, op=op1024, nu=1.0, amplitude=10.0)
     obs = _white_obs(op1024, x, delta, seed=29)
     cache = LevelSolverCache(op1024)
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0)
     known = lepskii_choose(op1024, LevelData(obs), cfg, SCHED, cache=cache)
     err_known = np.linalg.norm(known.x_star[0] - x.coeffs)
     _, estimated = data_driven_choose(op1024, LevelData(obs), EstimatorConfig(), cfg, SCHED, cache=cache)
@@ -465,7 +478,7 @@ def test_refine_then_choose_uses_estimate(op1024):
     data = LevelData(obs)
     est_cfg = EstimatorConfig()
     direct = refine_delta_hat(op1024, data, est_cfg, SCHED)
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op1024.norm**2)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0)
     (estimate,), _ = data_driven_choose(op1024, data, est_cfg, cfg, SCHED)
     assert estimate == direct
 
@@ -476,7 +489,7 @@ def test_data_driven_estimates_equal_each_row_refined_alone(op64):
     y = apply(op64, x)
     batch = observe(op64, x, 0.05, spec, replicate=[0, 1, 2], y_exact=y)
     sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=1.0, n_max=64)
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op64.norm**2)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0)
     estimates, _ = data_driven_choose(op64, LevelData(batch), EstimatorConfig(), cfg, sched)
     assert len(estimates) == 3
     for i, estimate in enumerate(estimates):
@@ -493,7 +506,7 @@ def _scalar_lepskii(op, obs, cfg, delta, sched):
     ``(j_star, accepted, pairs_checked, x_star)``.
     """
     data, cache = LevelData(obs), LevelSolverCache(op)
-    (m,), (alphas,) = geometric_grid(cfg.q, cfg.max_alpha, delta)
+    (m,), (alphas,) = geometric_grid(cfg.q, op.norm**2, delta)
     solutions, psi = [], []
     for a in alphas:
         obs_j = data(n_of(a, delta, sched))
@@ -525,7 +538,7 @@ def test_batched_lepskii_matches_the_scalar_rule(n, kind, delta):
     spec = NoiseSpec.gaussian_white(11) if kind == "gaussian_white" else NoiseSpec.dirac(dirac_direction(op.grid))
     y = apply(op, x)
     batch = observe(op, x, delta, spec, replicate=list(range(6)), y_exact=y)
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op.norm**2)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0)
     known = lepskii_choose(op, LevelData(batch), cfg, sched)
     estimates, estimated = data_driven_choose(op, LevelData(batch), EstimatorConfig(), cfg, sched)
     total = 0
@@ -576,7 +589,7 @@ def test_level_stack_decides_as_the_lcm_table(n, q, log_deltas, shared, seed):
     deltas = 10.0 ** np.array(log_deltas)
     batch = observe(op, x, float(deltas[0]), NoiseSpec.gaussian_white(seed), replicate=list(range(deltas.size)))
     sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=n)
-    cfg = LepskiiConfig(q=q, C_psi=1.0, max_alpha=op.norm**2)
+    cfg = LepskiiConfig(q=q, C_psi=1.0)
     delta = None if shared else deltas
     stack = lepskii_choose(op, LevelData(batch), cfg, sched, delta=delta)
     with mock.patch.object(choice_module, "_level_distances", lambda *args: _fine_distances(*args, n)):
@@ -598,7 +611,7 @@ def _stack_peak_and_table(n):
     op = build_integration_operator(Grid(n))
     x = make_signal("source", op.grid, op=op, nu=1.0, amplitude=10.0)
     sched = LevelSchedule(r=1.0, eta=1.0, c1=0.25, c2=0.0, n_max=n)
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op.norm**2)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0)
     cache = LevelSolverCache(op)
     batch = observe(op, x, 1e-4, NoiseSpec.gaussian_white(3), replicate=list(range(16)))
     lepskii_choose(op, LevelData(batch), cfg, sched, cache=cache)  # builds the level operators
@@ -632,7 +645,7 @@ def test_lepskii_off_a_divisor_chain_walks_the_level_stack():
     op = build_integration_operator(Grid(96))
     x = make_signal("source", op.grid, op=op, nu=1.0, amplitude=10.0)
     sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=96)
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op.norm**2)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0)
     batch = observe(op, x, 0.05, NoiseSpec.gaussian_white(11), replicate=list(range(6)))
     with mock.patch.object(choice_module, "_level_distances", wraps=choice_module._level_distances) as stack:
         known = lepskii_choose(op, LevelData(batch), cfg, sched)
@@ -733,6 +746,21 @@ def test_discrepancy_rows_across_a_block_boundary_equal_single_rows(kind, tau, o
         assert got == (alone.alpha[0], alone.satisfied[0], alone.residual[0])
 
 
+def test_alpha_grid_rules_return_one_flag_list_per_row():
+    x = make_signal("smooth", OP1024.grid)
+    spec = NoiseSpec.scaled_rv(dirac_direction(OP1024.grid), seed=3)
+    batch, _ = _rows(OP1024, x, 0.01, spec, BLOCK + 3)
+    picks = oracle_choice(OP1024, x, batch, tikhonov(), BOUNDARY_GRID)
+    assert isinstance(picks, Choice)
+    assert picks.flags == [[]] * (BLOCK + 3)
+    dp = discrepancy_principle(OP1024, batch, tikhonov(), 2.15, BOUNDARY_GRID)
+    assert isinstance(dp, Choice)
+    assert len(dp.flags) == BLOCK + 3
+    # one sign qualifies, the other falls back: the flag marks exactly the fallbacks
+    assert dp.flags == [[] if ok else ["discrepancy_unsatisfied"] for ok in dp.satisfied.tolist()]
+    assert {len(flags) for flags in dp.flags} == {0, 1}
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:
@@ -780,7 +808,7 @@ def test_batch_counts_read_by_the_benchmark_come_from_the_row_arrays():
         noise=noisy.noise, seed_used=(0, 0) + noisy.seed_used,
     )
     sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=64)
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op.norm**2)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0)
     known = lepskii_choose(op, LevelData(batch), cfg, sched)
     estimates, estimated = data_driven_choose(op, LevelData(batch), EstimatorConfig(), cfg, sched)
     for result in (known, estimated):
@@ -829,7 +857,7 @@ def test_rules_reject_non_finite_solutions(op64):
     obs = Observation(
         grid=op64.grid, y_exact=zero, delta=0.05, coeffs=y, noise=NoiseSpec.dirac(zero), seed_used=(0, 1, 2)
     )
-    cfg = LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=op64.norm**2)
+    cfg = LepskiiConfig(q=2.0, C_psi=1.0)
     sched = LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=64)
     calls = {
         "regularize_svd batch": lambda: regularize_svd(tikhonov(), op64, y, 1e-3),

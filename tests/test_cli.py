@@ -100,6 +100,16 @@ def test_estimate_without_an_alpha_grid_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_estimate_near_the_largest_double_balances_without_overflow(tmp_path, capsys):
+    # delta_hat^2 q lies within a factor 4 of the largest double, so Psi must not form 4 alpha
+    extra = "operator.n = 4\nschedule.n_max = 4\ndelta_list = 1e151\nestimator.n0 = 2\nlepskii.q = 1e6\n"
+    cfg = _cfg_file(tmp_path, method="lepskii_estimated_delta", extra=extra + "replicates = 2\nseed = 7\n")
+    out = tmp_path / "x.csv"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().count("\n") == 2
+
+
 def test_simulate_is_deterministic(tmp_path):
     cfg = _cfg_file(tmp_path)
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -197,8 +207,11 @@ def test_non_finite_config_exits_2(tmp_path, capsys, extra):
         ("choice.tau_dp = 0.5\n", "choice.tau_dp must be > 1"),
         ("lepskii.q = 1.0\n", "lepskii.q must be > 1"),
         ("lepskii.C_psi = -1\n", "lepskii.C_psi must be positive"),
+        ("schedule.r = -1\n", "schedule.r must be positive"),
+        ("estimator.tau = 0.5\n", "estimator.tau must be > 1"),
+        ("schedule.eta = 2.5\n", "schedule.eta must lie in [2/(1+2r), 2)"),
     ],
-    ids=["tau_dp", "q", "C_psi"],
+    ids=["tau_dp", "q", "C_psi", "r", "tau", "eta"],
 )
 def test_invalid_rule_parameter_exits_2(tmp_path, capsys, extra, message):
     # the rules reject these too, but only once a batch reaches them

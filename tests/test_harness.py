@@ -1,4 +1,5 @@
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,9 +115,8 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: LepskiiConfig(q=float("nan"), C_psi=1.0, max_alpha=1.0),
-        lambda: LepskiiConfig(q=2.0, C_psi=float("inf"), max_alpha=1.0),
-        lambda: LepskiiConfig(q=2.0, C_psi=1.0, max_alpha=float("inf")),
+        lambda: LepskiiConfig(q=float("nan"), C_psi=1.0),
+        lambda: LepskiiConfig(q=2.0, C_psi=float("inf")),
         lambda: EstimatorConfig(tau=float("nan")),
         lambda: EstimatorConfig(eps=float("inf")),
         lambda: EstimatorConfig(K=float("inf")),
@@ -126,7 +126,7 @@ def test_config_validation():
         lambda: LevelSchedule(n_max=float("inf")),
     ],
     ids=[
-        "lepskii.q=nan", "lepskii.C_psi=inf", "lepskii.max_alpha=inf",
+        "lepskii.q=nan", "lepskii.C_psi=inf",
         "estimator.tau=nan", "estimator.eps=inf", "estimator.K=inf",
         "schedule.r=nan", "schedule.eta=nan", "schedule.c2=inf", "schedule.n_max=inf",
     ],
@@ -134,6 +134,25 @@ def test_config_validation():
 def test_configs_reject_non_finite_fields(make):
     with pytest.raises(ValueError, match="must be finite"):
         make()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "path, n_max",
+    [
+        ("configs/veto.cfg", 1024),
+        ("configs/veto_n96.cfg", 96),
+        ("configs/mse_oracle.cfg", 256),
+        ("benchmarks/fine_grid.cfg", 2048),
+    ],
+)
+def test_committed_configs_parse_to_their_sections(path, n_max):
+    cfg = parse_config(ROOT / path)
+    assert (cfg.lepskii.q, cfg.lepskii.C_psi) == (2.0, 1.0)
+    assert cfg.schedule == LevelSchedule(r=1.0, eta=1.0, c1=1.0, c2=0.0, n_max=n_max)
+    assert cfg.estimator == EstimatorConfig(tau=1.5, K=3.0, p=2.0, eps=0.1, m_window=3, n0=16)
 
 
 def test_signals():
@@ -272,6 +291,7 @@ def test_run_study_pairs_methods_on_one_realization():
         replicates=4,
         seed=3,
         schedule=LevelSchedule(c2=0.0, n_max=64),
+        lepskii=LepskiiConfig(q=3.0, C_psi=0.5),  # not the defaults: choose must pass them through
     )
     methods = ("oracle", "lepskii_known_delta", "lepskii_estimated_delta")
     together = list(run_study(cfg, methods))
@@ -286,7 +306,7 @@ def test_run_study_pairs_methods_on_one_realization():
     sched = effective_schedule(cfg, op)
     spec = build_noise_spec(cfg, op.grid)
     for di, (delta, x_true, choices) in enumerate(together):
-        lep_cfg = LepskiiConfig(q=cfg.lepskii_q, C_psi=cfg.lepskii_c_psi, max_alpha=op.norm**2)
+        lep_cfg = cfg.lepskii
         # only the known-delta method's best_error is read (the veto oracle column)
         assert choices["oracle"].best_error is None
         assert choices["lepskii_estimated_delta"].best_error is None

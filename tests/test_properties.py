@@ -412,7 +412,7 @@ def test_ladder_levels_follow_n_of(n, deltas, shared, q, r, c1, c2, n_max):
     x = make_signal("smooth", op.grid)
     data = LevelData(observe(op, x, 0.05, NoiseSpec.gaussian_white(5), replicate=list(range(rows))))
     sched = LevelSchedule(r=r, c1=c1, c2=c2, n_max=n_max)
-    cfg = LepskiiConfig(q=q, C_psi=1.0, max_alpha=op.norm**2)
+    cfg = LepskiiConfig(q=q, C_psi=1.0)
     counter = _CapCount()
     logger = logging.getLogger("statinv.discretization")
     logger.addHandler(counter)
